@@ -49,7 +49,6 @@ from .network import (
     active_power,
     solve_faulted,
     solve_network,
-    total_impedance,
 )
 from .relay import Blinder, MhoZone, RelaySettings, RelayState, blinder_contains, mho_contains, relay_step
 from .scenario import Scenario, load_scenario, save_scenario, scenario_from_dict, scenario_to_dict

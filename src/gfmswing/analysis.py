@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InsufficientHorizon
 from .limiter import Strategy, activation_sets, solve_variable_vi_current, variable_vi_gain
-from .network import SystemParams
+from .network import SystemParams, active_power
 from .dynamics import SimulationRecord
 from .trajectory import limited_current_angle
 
@@ -71,11 +71,8 @@ def p_delta_curve(
     if strategy is Strategy.VARIABLE_VI and active.any():
         if gain is None:
             gain = variable_vi_gain(params)
-        warm: float | None = None
         for i in np.flatnonzero(active):
-            mag, _, sol = solve_variable_vi_current(float(delta[i]), params, gain, m_init=warm)
-            warm = mag
-            p[i] = (complex(sol.v_pcc) * complex(sol.current).conjugate()).real
+            p[i] = active_power(solve_variable_vi_current(float(delta[i]), params, gain)[2])
     elif strategy is Strategy.ADAPTIVE_VI and active.any():
         d_act = delta[active]
         phi = params.z_sigma.ang

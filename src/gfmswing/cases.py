@@ -9,6 +9,8 @@ no limiting, variable VI, adaptive VI.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .dynamics import ApclParams, Event, EventKind
 from .limiter import LimiterConfig, Strategy
 from .network import Phasor, SystemParams
@@ -121,8 +123,6 @@ def build_case(case_id: str, strategy: Strategy | None = None) -> Scenario:
     except KeyError:
         raise KeyError(f"unknown case id {case_id!r}; available: {', '.join(CASE_IDS)}") from None
     if strategy is not None and strategy is not scenario.limiter.strategy:
-        from dataclasses import replace
-
         scenario = replace(
             scenario,
             name=f"{scenario.name}-{strategy.value}",

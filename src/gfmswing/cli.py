@@ -14,10 +14,11 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, cases, dynamics
-from .errors import GfmSwingError
+from .errors import GfmSwingError, InsufficientHorizon
 from .limiter import Strategy, critical_angle
 from .scenario import Scenario, load_scenario, scenario_to_dict
 from .trajectory import full_cycle
@@ -32,8 +33,6 @@ def _load(args) -> Scenario:
     else:
         raise GfmSwingError("one of --scenario or --case is required")
     if _strategy_or_none(args) is not None:
-        from dataclasses import replace
-
         scn = replace(scn, limiter=replace(scn.limiter, strategy=_strategy_or_none(args)))
     return scn
 
@@ -43,8 +42,6 @@ def _strategy_or_none(args) -> Strategy | None:
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    from dataclasses import replace
-
     if getattr(args, "dt", None):
         scn = replace(scn, dt=args.dt)
     return scn
@@ -112,7 +109,11 @@ def cmd_simulate(args) -> int:
         ),
     )
     _write_csv(out / "relay_events.csv", ["t", "event", "element"], record.relay_events)
-    verdict = analysis.classify_stability(record) if record.events else None
+    try:
+        verdict = analysis.classify_stability(record) if record.events else None
+    except InsufficientHorizon as exc:
+        print(f"no verdict: {exc}")
+        verdict = None
     summary = {
         "scenario": scenario_to_dict(scn),
         "boundaries": _boundary_angles(scn),
@@ -184,8 +185,6 @@ def cmd_pdelta(args) -> int:
 def cmd_sweep(args) -> int:
     scn = _load(args)
     out = _out_dir(args, scn)
-    from dataclasses import replace
-
     h_values = _parse_grid(args.h) or [scn.apcl.h]
     dp_values = _parse_grid(args.dp) or [scn.apcl.d_p]
     rows = []

@@ -24,16 +24,11 @@ from .limiter import (
     ViValue,
     adaptive_vi_step,
     solve_limited_current,
+    solve_variable_vi_current,
     variable_vi_gain,
     vi_gain_from_drop,
 )
-from .network import (
-    NetworkSolution,
-    SystemParams,
-    active_power,
-    solve_faulted,
-    solve_network,
-)
+from .network import NetworkSolution, SystemParams, active_power, solve_faulted
 from .relay import RelaySettings, RelayState, relay_step
 
 
@@ -44,7 +39,6 @@ class ApclParams:
     h: float = 7.0
     d_p: float = 0.05
     p0: float = 0.45
-    omega0: float = 1.0
     omega_n: float = 2.0 * math.pi * 60.0
     freq_clamp: float = 0.01
 
@@ -148,8 +142,6 @@ class SimulationRecord:
     i_mag: np.ndarray
     zapp_re: np.ndarray
     zapp_im: np.ndarray
-    v_relay_re: np.ndarray
-    v_relay_im: np.ndarray
     p_e: np.ndarray
     vi_r: np.ndarray
     vi_x: np.ndarray
@@ -185,7 +177,6 @@ def electrical_power(
     cfg: LimiterConfig,
     faulted: bool = False,
     fault_fraction: float = 0.5,
-    m_init: float | None = None,
 ) -> tuple[float, NetworkSolution, ViValue]:
     """Electrical power (and full solution) under the active strategy.
 
@@ -195,23 +186,12 @@ def electrical_power(
     zero-voltage node instead of the grid source.
     """
     gain = _resolve_gain(limiter, params, cfg)
-    if gain > 0.0:
-        alpha = params.vi_ratio if cfg.alpha_vi is None else cfg.alpha_vi
-        if faulted:
-            drive: complex = complex(params.e_ref)
-            z_ext = complex(params.z_tr) + fault_fraction * complex(params.z_l)
-        else:
-            drive = complex(params.e_ref) - params.v_g_mag * complex(
-                math.cos(delta), -math.sin(delta)
-            )
-            z_ext = complex(params.z_sigma)
-        _, vi = solve_limited_current(drive, z_ext, gain, alpha, params.i_th, m_init)
-    else:
-        vi = ViValue()
-    if faulted:
-        sol = solve_faulted(vi.as_complex, params, fault_fraction)
-    else:
-        sol = solve_network(delta, vi.as_complex, params)
+    if not faulted:
+        _, vi, sol = solve_variable_vi_current(delta, params, gain)
+        return active_power(sol), sol, vi
+    z_ext = complex(params.z_tr) + fault_fraction * complex(params.z_l)
+    _, vi = solve_limited_current(complex(params.e_ref), z_ext, gain, params.vi_ratio, params.i_th)
+    sol = solve_faulted(vi.as_complex, params, fault_fraction)
     return active_power(sol), sol, vi
 
 
@@ -264,16 +244,8 @@ def _advance(
     inv_dp = 1.0 / apcl.d_p
     omega_n = apcl.omega_n
 
-    gain = _resolve_gain(lim, system, cfg)
-    warm = state.limiter.vi.r_vi / gain + system.i_th if gain > 0.0 and lim.vi.r_vi > 0.0 else None
-
     def p_of(d: float) -> float:
-        nonlocal warm
-        p_e, sol, _ = electrical_power(
-            d, lim, system, cfg, faulted=faulted, fault_fraction=frac, m_init=warm
-        )
-        warm = abs(sol.current)
-        return p_e
+        return electrical_power(d, lim, system, cfg, faulted=faulted, fault_fraction=frac)[0]
 
     d0, w0 = state.delta, state.omega_dev
 
@@ -295,7 +267,7 @@ def _advance(
         omega_new = -clamp
 
     p_end, sol_end, vi_end = electrical_power(
-        delta_new, lim, system, cfg, faulted=faulted, fault_fraction=frac, m_init=warm
+        delta_new, lim, system, cfg, faulted=faulted, fault_fraction=frac
     )
     if lim.strategy is Strategy.ADAPTIVE_VI:
         adaptive = adaptive_vi_step(lim.adaptive, abs(sol_end.current), dt, cfg, system.i_max)
@@ -400,8 +372,6 @@ def run_scenario(scenario) -> SimulationRecord:
     imag_arr = np.empty(n)
     zre_arr = np.empty(n)
     zim_arr = np.empty(n)
-    vre_arr = np.empty(n)
-    vim_arr = np.empty(n)
     pe_arr = np.empty(n)
     vir_arr = np.empty(n)
     vix_arr = np.empty(n)
@@ -420,8 +390,6 @@ def run_scenario(scenario) -> SimulationRecord:
         else:
             zre_arr[k] = sol.z_apparent.real
             zim_arr[k] = sol.z_apparent.imag
-        vre_arr[k] = sol.v_relay.real
-        vim_arr[k] = sol.v_relay.imag
         pe_arr[k] = p_e
         vir_arr[k] = vi.r_vi
         vix_arr[k] = vi.x_vi
@@ -444,8 +412,6 @@ def run_scenario(scenario) -> SimulationRecord:
         i_mag=imag_arr,
         zapp_re=zre_arr,
         zapp_im=zim_arr,
-        v_relay_re=vre_arr,
-        v_relay_im=vim_arr,
         p_e=pe_arr,
         vi_r=vir_arr,
         vi_x=vix_arr,

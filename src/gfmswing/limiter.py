@@ -18,8 +18,7 @@ from .errors import AlwaysExceeded, DegenerateCircuit, InvalidThresholds, NoConv
 from .network import NetworkSolution, Phasor, SystemParams, solve_network
 
 SOLVE_TOL = 1e-10
-MAX_FIXED_POINT_ITER = 100
-MAX_BISECT_ITER = 200
+MAX_SOLVE_ITER = 100
 
 
 class Strategy(Enum):
@@ -41,7 +40,6 @@ class LimiterConfig:
 
     strategy: Strategy = Strategy.NONE
     k_vi: float | None = None
-    alpha_vi: float | None = None
     kp: float = 0.5
     ki: float = 600.0
     delta_v_max: float = 2.0
@@ -101,12 +99,6 @@ class ActivationSets:
         return self.boundary < d < 2.0 * math.pi - self.boundary
 
     @property
-    def inactive_intervals(self) -> tuple[tuple[float, float], ...]:
-        if self.boundary is None:
-            return ((0.0, 2.0 * math.pi),)
-        return ((0.0, self.boundary), (2.0 * math.pi - self.boundary, 2.0 * math.pi))
-
-    @property
     def active_interval(self) -> tuple[float, float] | None:
         if self.boundary is None:
             return None
@@ -163,16 +155,16 @@ def solve_limited_current(
     gain: float,
     alpha_vi: float,
     i_th: float,
-    m_init: float | None = None,
 ) -> tuple[float, ViValue]:
     """Current magnitude of the implicit loop I = drive / (z_ext + Z_vi(|I|)).
 
     The virtual impedance grows linearly with the overshoot past ``i_th``
     along a fixed direction, so the scalar residual
     ``m * |z_ext + gain*(m - i_th)*(1 + j*alpha)| - |drive|`` is monotone in
-    ``m`` and the limited root is unique. A damped fixed-point iteration
-    (warm-started via ``m_init``) does almost all the work; bisection on the
-    bracketed residual is the fallback.
+    ``m`` and the limited root is unique. A safeguarded Newton iteration
+    (rtsafe, Numerical Recipes 9.4) starts at the right end of the bracket,
+    where the convex residual makes it descend monotonically, and falls back
+    to bisection whenever a step would leave the bracket.
     """
     e_mag = abs(drive)
     if e_mag == 0.0:
@@ -186,69 +178,53 @@ def solve_limited_current(
         return e_mag / z_ext_mag, ViValue()
 
     r_ext, x_ext = z_ext.real, z_ext.imag
-
-    def z_mag(m: float) -> float:
-        dv = gain * (m - i_th)
-        return math.hypot(r_ext + dv, x_ext + alpha_vi * dv)
-
     lo = i_th
     if z_ext_mag > 0.0:
         hi = e_mag / z_ext_mag
     else:
         hi = i_th + 1.0
-        while hi * z_mag(hi) < e_mag:
+        while hi * gain * (hi - i_th) * math.hypot(1.0, alpha_vi) < e_mag:
             hi *= 2.0
 
-    m = m_init if m_init is not None and lo < m_init <= hi else 0.5 * (lo + hi)
-    damping = 0.35
-    for _ in range(MAX_FIXED_POINT_ITER):
-        zm = z_mag(m)
-        if zm <= 0.0:
-            break
-        target = e_mag / zm
-        step = target - m
+    m = hi
+    for _ in range(MAX_SOLVE_ITER):
+        dv = gain * (m - i_th)
+        zr, zx = r_ext + dv, x_ext + alpha_vi * dv
+        zm = math.hypot(zr, zx)
+        residual = m * zm - e_mag
+        if residual > 0.0:
+            hi = m
+        else:
+            lo = m
+        # Newton step residual / residual', with both scaled by zm
+        slope = zm * zm + m * gain * (zr + alpha_vi * zx)
+        step = residual * zm / slope if slope > 0.0 else math.inf
+        if not (abs(step) < SOLVE_TOL or lo < m - step < hi):
+            step = m - 0.5 * (lo + hi)
+        m -= step
         if abs(step) < SOLVE_TOL:
             return m, vi_from_current(m, gain, alpha_vi, i_th)
-        m = m + damping * step
-        if m < lo:
-            m = lo
-        elif m > hi:
-            m = hi
 
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid * z_mag(mid) > e_mag:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < SOLVE_TOL:
-            mid = 0.5 * (lo + hi)
-            return mid, vi_from_current(mid, gain, alpha_vi, i_th)
-
-    mid = 0.5 * (lo + hi)
-    raise NoConvergence(
-        f"implicit current solve stalled at m={mid!r}",
-        residual=mid * z_mag(mid) - e_mag,
-    )
+    raise NoConvergence(f"implicit current solve stalled at m={m!r}", residual=residual)
 
 
 def solve_variable_vi_current(
     delta: float,
     params: SystemParams,
     gain: float | None = None,
-    m_init: float | None = None,
 ) -> tuple[float, ViValue, NetworkSolution]:
-    """Self-consistent current under the variable strategy at power angle ``delta``.
+    """Self-consistent current of the healthy loop at power angle ``delta``.
 
     Returns the solved magnitude, the virtual impedance it implies, and the
-    full network solution computed with that impedance. Below the activation
-    threshold this reduces to the plain unlimited solve.
+    full network solution computed with that impedance. ``gain`` defaults to
+    the designed gain of the variable strategy; with a zero gain, or below
+    the activation threshold, this reduces to the plain unlimited solve.
     """
     if gain is None:
         gain = variable_vi_gain(params)
     drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta)
     mag, vi = solve_limited_current(
-        drive, complex(params.z_sigma), gain, params.vi_ratio, params.i_th, m_init
+        drive, complex(params.z_sigma), gain, params.vi_ratio, params.i_th
     )
     sol = solve_network(delta, vi.as_complex, params)
     return mag, vi, sol

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateCircuit
 
@@ -78,6 +79,7 @@ class SystemParams:
 
     ``alpha_vi`` is the reactance-to-resistance ratio of the virtual
     impedance; ``None`` selects the angle of the total series impedance.
+    The derived impedances and ratio are computed once per instance.
     """
 
     e_ref: Phasor = Phasor(1.0, 0.0)
@@ -88,7 +90,6 @@ class SystemParams:
     i_max: float = 1.2
     i_th: float = 1.0
     alpha_vi: float | None = None
-    f_nominal: float = 60.0
 
     def __post_init__(self):
         problems = []
@@ -101,22 +102,20 @@ class SystemParams:
             problems.append("alpha_vi must be >= 0")
         if self.v_g_mag <= 0.0:
             problems.append("v_g_mag must be positive")
-        if self.f_nominal <= 0.0:
-            problems.append("f_nominal must be positive")
         if problems:
             raise ValueError("; ".join(problems))
 
-    @property
+    @cached_property
     def z_sigma(self) -> Phasor:
         """Total series impedance from the voltage-reference bus to the grid source."""
         return Phasor(self.z_tr + self.z_l + self.z_g)
 
-    @property
+    @cached_property
     def z_relay_to_grid(self) -> Phasor:
         """Impedance between the relay bus and the grid source (line plus grid)."""
         return Phasor(self.z_l + self.z_g)
 
-    @property
+    @cached_property
     def vi_ratio(self) -> float:
         """Effective reactance-to-resistance ratio of the virtual impedance."""
         if self.alpha_vi is not None:
@@ -137,11 +136,6 @@ class NetworkSolution:
     v_relay: Phasor
     z_apparent: Phasor | None
     zero_current: bool = False
-
-
-def total_impedance(params: SystemParams) -> Phasor:
-    """Sum of transformer, line and grid impedances."""
-    return params.z_sigma
 
 
 def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkSolution:

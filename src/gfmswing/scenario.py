@@ -54,6 +54,23 @@ class Scenario:
         validate_events(self.events)
 
 
+def _float(value, field: str) -> float:
+    """A finite float read from a scenario file, or ``ValidationError`` naming the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{field}: expected a finite number, got {value!r}")
+    return number
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{field}: expected a JSON object, got {value!r}")
+    return value
+
+
 def _phasor_to_dict(p: complex) -> dict:
     return {"re": p.real, "im": p.imag}
 
@@ -61,12 +78,13 @@ def _phasor_to_dict(p: complex) -> dict:
 def _phasor_from_value(value, field: str) -> Phasor:
     if isinstance(value, dict):
         if "re" in value and "im" in value:
-            return Phasor(float(value["re"]), float(value["im"]))
+            return Phasor(_float(value["re"], f"{field}.re"), _float(value["im"], f"{field}.im"))
         if "mag" in value and "angle_deg" in value:
-            return Phasor.from_polar_deg(float(value["mag"]), float(value["angle_deg"]))
+            mag = _float(value["mag"], f"{field}.mag")
+            return Phasor.from_polar_deg(mag, _float(value["angle_deg"], f"{field}.angle_deg"))
         raise ValidationError(f"{field}: expected re/im or mag/angle_deg keys")
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Phasor(float(value[0]), float(value[1]))
+        return Phasor(_float(value[0], f"{field}[0]"), _float(value[1], f"{field}[1]"))
     raise ValidationError(f"{field}: cannot interpret {value!r} as a phasor")
 
 
@@ -84,20 +102,17 @@ def scenario_to_dict(scn: Scenario) -> dict:
             "i_max": sys_p.i_max,
             "i_th": sys_p.i_th,
             "alpha_vi": sys_p.alpha_vi,
-            "f_nominal": sys_p.f_nominal,
         },
         "apcl": {
             "h": scn.apcl.h,
             "d_p": scn.apcl.d_p,
             "p0": scn.apcl.p0,
-            "omega0": scn.apcl.omega0,
             "omega_n": scn.apcl.omega_n,
             "freq_clamp": scn.apcl.freq_clamp,
         },
         "limiter": {
             "strategy": scn.limiter.strategy.value,
             "k_vi": scn.limiter.k_vi,
-            "alpha_vi": scn.limiter.alpha_vi,
             "kp": scn.limiter.kp,
             "ki": scn.limiter.ki,
             "delta_v_max": scn.limiter.delta_v_max,
@@ -130,13 +145,14 @@ def _blinder_to_dict(b: Blinder) -> dict:
 
 
 def _blinder_from_dict(d: dict, field: str) -> Blinder:
+    d = _object(d, field)
     try:
         return Blinder(
-            rgt=float(d["rgt"]),
-            lft=float(d["lft"]),
-            fwd=float(d["fwd"]),
-            rev=float(d["rev"]),
-            tilt=math.radians(float(d["tilt_deg"])),
+            rgt=_float(d["rgt"], f"{field}.rgt"),
+            lft=_float(d["lft"], f"{field}.lft"),
+            fwd=_float(d["fwd"], f"{field}.fwd"),
+            rev=_float(d["rev"], f"{field}.rev"),
+            tilt=math.radians(_float(d["tilt_deg"], f"{field}.tilt_deg")),
         )
     except KeyError as exc:
         raise ValidationError(f"{field}: missing blinder key {exc}") from exc
@@ -145,12 +161,13 @@ def _blinder_from_dict(d: dict, field: str) -> Blinder:
 
 
 def _system_from_dict(d: dict) -> SystemParams:
+    d = _object(d, "system")
     defaults = SystemParams()
     kwargs = {}
-    for key in ("v_g_mag", "i_max", "i_th", "f_nominal"):
-        kwargs[key] = float(d.get(key, getattr(defaults, key)))
+    for key in ("v_g_mag", "i_max", "i_th"):
+        kwargs[key] = _float(d.get(key, getattr(defaults, key)), f"system.{key}")
     alpha = d.get("alpha_vi", defaults.alpha_vi)
-    kwargs["alpha_vi"] = None if alpha is None else float(alpha)
+    kwargs["alpha_vi"] = None if alpha is None else _float(alpha, "system.alpha_vi")
     for key in ("e_ref", "z_g", "z_l", "z_tr"):
         kwargs[key] = (
             _phasor_from_value(d[key], f"system.{key}") if key in d else getattr(defaults, key)
@@ -162,10 +179,11 @@ def _system_from_dict(d: dict) -> SystemParams:
 
 
 def _apcl_from_dict(d: dict) -> ApclParams:
+    d = _object(d, "apcl")
     defaults = ApclParams()
     kwargs = {
-        key: float(d.get(key, getattr(defaults, key)))
-        for key in ("h", "d_p", "p0", "omega0", "omega_n", "freq_clamp")
+        key: _float(d.get(key, getattr(defaults, key)), f"apcl.{key}")
+        for key in ("h", "d_p", "p0", "omega_n", "freq_clamp")
     }
     try:
         return ApclParams(**kwargs)
@@ -174,6 +192,12 @@ def _apcl_from_dict(d: dict) -> ApclParams:
 
 
 def _limiter_from_dict(d: dict) -> LimiterConfig:
+    d = _object(d, "limiter")
+    if d.get("alpha_vi") is not None:
+        raise ValidationError(
+            "limiter.alpha_vi is not supported; set the virtual-impedance X/R ratio "
+            "as system.alpha_vi"
+        )
     defaults = LimiterConfig()
     strategy_raw = d.get("strategy", defaults.strategy.value)
     try:
@@ -184,23 +208,24 @@ def _limiter_from_dict(d: dict) -> LimiterConfig:
             f"{[s.value for s in Strategy]}"
         ) from exc
     k_vi = d.get("k_vi", defaults.k_vi)
-    alpha = d.get("alpha_vi", defaults.alpha_vi)
     try:
         return LimiterConfig(
             strategy=strategy,
-            k_vi=None if k_vi is None else float(k_vi),
-            alpha_vi=None if alpha is None else float(alpha),
-            kp=float(d.get("kp", defaults.kp)),
-            ki=float(d.get("ki", defaults.ki)),
-            delta_v_max=float(d.get("delta_v_max", defaults.delta_v_max)),
+            k_vi=None if k_vi is None else _float(k_vi, "limiter.k_vi"),
+            kp=_float(d.get("kp", defaults.kp), "limiter.kp"),
+            ki=_float(d.get("ki", defaults.ki), "limiter.ki"),
+            delta_v_max=_float(d.get("delta_v_max", defaults.delta_v_max), "limiter.delta_v_max"),
         )
     except ValueError as exc:
         raise ValidationError(f"limiter: {exc}") from exc
 
 
 def _events_from_list(items: list) -> tuple[Event, ...]:
+    if not isinstance(items, list):
+        raise ValidationError(f"events: expected a list, got {items!r}")
     events = []
     for i, item in enumerate(items):
+        item = _object(item, f"events[{i}]")
         try:
             kind = EventKind(item["kind"])
         except (KeyError, ValueError) as exc:
@@ -208,29 +233,37 @@ def _events_from_list(items: list) -> tuple[Event, ...]:
         if "time" not in item:
             raise ValidationError(f"events[{i}]: missing time")
         value = item.get("value")
-        events.append(Event(float(item["time"]), kind, None if value is None else float(value)))
+        events.append(
+            Event(
+                _float(item["time"], f"events[{i}].time"),
+                kind,
+                None if value is None else _float(value, f"events[{i}].value"),
+            )
+        )
     return tuple(events)
 
 
 def _relay_from_dict(d: dict) -> RelaySettings:
     base = RelaySettings.table1()
+    zones = base.zones
     if "zones" in d:
-        zones = tuple(
-            MhoZone(
-                _phasor_from_value(z["reach"], f"relay.zones[{i}].reach"),
-                float(z.get("time_delay", 0.0)),
+        try:
+            zones = tuple(
+                MhoZone(
+                    _phasor_from_value(z["reach"], f"relay.zones[{i}].reach"),
+                    _float(z.get("time_delay", 0.0), f"relay.zones[{i}].time_delay"),
+                )
+                for i, z in enumerate(d["zones"])
             )
-            for i, z in enumerate(d["zones"])
-        )
-    else:
-        zones = base.zones
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"relay.zones: missing or malformed entry ({exc})") from exc
     return RelaySettings(
         zones=zones,
         outer=_blinder_from_dict(d["outer"], "relay.outer") if "outer" in d else base.outer,
         middle=_blinder_from_dict(d["middle"], "relay.middle") if "middle" in d else base.middle,
         inner=_blinder_from_dict(d["inner"], "relay.inner") if "inner" in d else base.inner,
-        psb_cycles=float(d.get("psb_cycles", base.psb_cycles)),
-        f_nominal=float(d.get("f_nominal", base.f_nominal)),
+        psb_cycles=_float(d.get("psb_cycles", base.psb_cycles), "relay.psb_cycles"),
+        f_nominal=_float(d.get("f_nominal", base.f_nominal), "relay.f_nominal"),
     )
 
 
@@ -249,16 +282,19 @@ def scenario_from_dict(raw: dict, name_fallback: str = "scenario") -> Scenario:
         )
         if relay is None:
             raise ValidationError(f"relay: cannot interpret {raw['relay']!r}")
+    outputs = raw.get("outputs")
+    if outputs is not None and not isinstance(outputs, str):
+        raise ValidationError(f"outputs: expected a directory name, got {outputs!r}")
     return Scenario(
         name=str(raw.get("name", name_fallback)),
         system=_system_from_dict(raw.get("system", {})),
         apcl=_apcl_from_dict(raw.get("apcl", {})),
         limiter=_limiter_from_dict(raw.get("limiter", {})),
         events=_events_from_list(raw.get("events", [])),
-        horizon=float(raw["horizon"]),
-        dt=float(raw.get("dt", 5e-4)),
+        horizon=_float(raw["horizon"], "horizon"),
+        dt=_float(raw.get("dt", 5e-4), "dt"),
         relay=relay,
-        outputs=raw.get("outputs"),
+        outputs=outputs,
     )
 
 

@@ -88,9 +88,7 @@ def z_variable_vi(delta: float, params: SystemParams, gain: float | None = None)
     sets = activation_sets(params, Strategy.VARIABLE_VI)
     if not sets.is_active(delta):
         return z_unlimited(delta, params)
-    _, _, sol = solve_variable_vi_current(delta, params, gain)
-    v_far = params.v_g_mag * cmath.exp(-1j * delta)
-    return Phasor(complex(params.z_relay_to_grid) + v_far / complex(sol.current))
+    return solve_variable_vi_current(delta, params, gain)[2].z_apparent
 
 
 def z_adaptive_vi(delta: float, params: SystemParams) -> Phasor:
@@ -125,16 +123,12 @@ def full_cycle(
         gain = variable_vi_gain(params)
     samples: list[TrajectorySample] = []
     step = 2.0 * math.pi / (n_samples + 1)
-    m_warm: float | None = None
     for k in range(1, n_samples + 1):
         delta = k * step
         if not sets.is_active(delta):
             samples.append(TrajectorySample(delta, z_unlimited(delta, params), Segment.INACTIVE))
         elif strategy is Strategy.VARIABLE_VI:
-            mag, _, sol = solve_variable_vi_current(delta, params, gain, m_init=m_warm)
-            m_warm = mag
-            v_far = params.v_g_mag * cmath.exp(-1j * delta)
-            z = Phasor(complex(params.z_relay_to_grid) + v_far / complex(sol.current))
+            z = solve_variable_vi_current(delta, params, gain)[2].z_apparent
             samples.append(TrajectorySample(delta, z, Segment.ACTIVE_VARIABLE))
         else:
             samples.append(

@@ -19,6 +19,7 @@ from gfmswing import (
     activation_sets,
     adaptive_vi_step,
     critical_angle,
+    solve_faulted,
     solve_limited_current,
     solve_variable_vi_current,
     variable_vi_gain,
@@ -29,15 +30,15 @@ from gfmswing import (
 from gfmswing.limiter import ViValue, vi_drop
 
 
-def bisect_current(delta, params, gain, alpha, tol=1e-12):
+def bisect_limited(drive, z_ext, gain, alpha, i_th):
     """Independent oracle: plain bisection on the scalar magnitude residual."""
-    drive = abs(complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta))
+    e_mag = abs(drive)
 
     def residual(m):
-        z_vi = gain * (m - params.i_th) * complex(1.0, alpha)
-        return m * abs(complex(params.z_sigma) + z_vi) - drive
+        z_vi = gain * (m - i_th) * complex(1.0, alpha)
+        return m * abs(z_ext + z_vi) - e_mag
 
-    lo, hi = params.i_th, drive / abs(params.z_sigma)
+    lo, hi = i_th, e_mag / abs(z_ext)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if residual(mid) > 0.0:
@@ -45,6 +46,26 @@ def bisect_current(delta, params, gain, alpha, tol=1e-12):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def bisect_current(delta, params, gain, alpha):
+    """The bisection oracle on the healthy loop at power angle ``delta``."""
+    drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta)
+    return bisect_limited(drive, complex(params.z_sigma), gain, alpha, params.i_th)
+
+
+def collinear_root(drive, z_ext, gain, alpha, i_th):
+    """Closed-form root when the virtual impedance is collinear with ``z_ext``.
+
+    With alpha = tan(arg z_ext) the loop magnitude is |z_ext| + k*(m - i_th),
+    k = gain*sqrt(1 + alpha^2), so k*m^2 + (|z_ext| - k*i_th)*m - |drive| = 0.
+    """
+    k = gain * math.sqrt(1.0 + alpha * alpha)
+    b = abs(z_ext) - k * i_th
+    e_mag = abs(drive)
+    disc = math.sqrt(b * b + 4.0 * k * e_mag)
+    # the cancellation-free form of the positive root for either sign of b
+    return 2.0 * e_mag / (b + disc) if b > 0.0 else (disc - b) / (2.0 * k)
 
 
 def test_variable_gain_table1():
@@ -143,13 +164,34 @@ def test_solve_at_pi_matches_bisection_oracle():
 
 def test_solve_consistent_over_active_range():
     params = SystemParams()
-    gain = variable_vi_gain(params)
-    alpha = params.vi_ratio
-    for delta in np.linspace(1.2, 2 * math.pi - 1.2, 25):
-        mag, vi, sol = solve_variable_vi_current(float(delta), params)
-        assert mag == pytest.approx(bisect_current(float(delta), params, gain, alpha), abs=1e-8)
-        # the network re-solve with the returned impedance reproduces the magnitude
-        assert abs(sol.current) == pytest.approx(mag, abs=1e-9)
+    alpha = params.vi_ratio  # the default ratio makes the healthy-loop VI collinear with z_sigma
+    # the designed variable gain plus adaptive gains for small and large drops
+    for gain in (
+        variable_vi_gain(params),
+        vi_gain_from_drop(0.3, params),
+        vi_gain_from_drop(2.0, params),
+    ):
+        for delta in np.linspace(1.2, 2 * math.pi - 1.2, 25):
+            mag, vi, sol = solve_variable_vi_current(float(delta), params, gain)
+            assert mag == pytest.approx(bisect_current(float(delta), params, gain, alpha), abs=1e-8)
+            drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * float(delta))
+            oracle = collinear_root(drive, complex(params.z_sigma), gain, alpha, params.i_th)
+            assert abs(mag - oracle) <= 1e-12
+            # the network re-solve with the returned impedance reproduces the magnitude
+            assert abs(sol.current) == pytest.approx(mag, abs=1e-9)
+        for fraction in (0.0, 0.5, 1.0):
+            drive = complex(params.e_ref)
+            z_ext = complex(params.z_tr) + fraction * complex(params.z_l)
+            mag, vi = solve_limited_current(drive, z_ext, gain, alpha, params.i_th)
+            oracle = bisect_limited(drive, z_ext, gain, alpha, params.i_th)
+            assert mag == pytest.approx(oracle, abs=1e-8)
+            assert abs(solve_faulted(vi.as_complex, params, fraction).current) == pytest.approx(
+                mag, abs=1e-9
+            )
+            # with the ratio set to the faulted loop's own angle the root is closed-form
+            alpha_f = z_ext.imag / z_ext.real
+            mag_f, _ = solve_limited_current(drive, z_ext, gain, alpha_f, params.i_th)
+            assert abs(mag_f - collinear_root(drive, z_ext, gain, alpha_f, params.i_th)) <= 1e-12
 
 
 def test_bolted_terminal_design_current():
@@ -159,14 +201,6 @@ def test_bolted_terminal_design_current():
         complex(params.e_ref), 0j, variable_vi_gain(params), params.vi_ratio, params.i_th
     )
     assert mag == pytest.approx(params.i_max, abs=1e-6)
-
-
-def test_warm_start_agrees_with_cold():
-    params = SystemParams()
-    gain = variable_vi_gain(params)
-    cold, _, _ = solve_variable_vi_current(2.5, params, gain)
-    warm, _, _ = solve_variable_vi_current(2.5, params, gain, m_init=cold + 0.07)
-    assert warm == pytest.approx(cold, abs=1e-9)
 
 
 def test_adaptive_step_inactive_below_ceiling():

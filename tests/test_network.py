@@ -14,7 +14,6 @@ from gfmswing import (
     critical_angle,
     solve_faulted,
     solve_network,
-    total_impedance,
 )
 from gfmswing.trajectory import line_distance
 
@@ -60,7 +59,7 @@ def test_wrap_angle():
 
 def test_total_impedance_table1():
     params = SystemParams()
-    z = total_impedance(params)
+    z = params.z_sigma
     # oracle: rectangular sum of the three polar entries
     expected = sum(cmath.rect(m, math.radians(a)) for m, a in TABLE1_POLAR)
     assert abs(complex(z) - expected) < 1e-12
@@ -72,7 +71,7 @@ def test_total_impedance_real_sum():
     params = SystemParams(
         z_g=Phasor(0.1, 0.0), z_l=Phasor(0.1, 0.0), z_tr=Phasor(0.1, 0.0)
     )
-    assert complex(total_impedance(params)) == pytest.approx(0.3 + 0j)
+    assert complex(params.z_sigma) == pytest.approx(0.3 + 0j)
 
 
 def test_params_validation():

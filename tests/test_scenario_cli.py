@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from gfmswing import ParseError, Strategy, SystemParams, ValidationError
+from gfmswing import Event, EventKind, ParseError, Strategy, SystemParams, ValidationError
 from gfmswing.cases import CASE_IDS, build_case, case_d_system
 from gfmswing.cli import main
 from gfmswing.scenario import load_scenario, save_scenario, scenario_to_dict, scenario_from_dict
@@ -90,6 +90,18 @@ def test_defaults_fill_reference_values(tmp_path):
     assert scn.limiter.strategy is Strategy.NONE
     assert scn.dt == 5e-4
     assert scn.relay is None
+    # schema-v1 files may still carry the keys of removed options
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({
+        "horizon": 1.0,
+        "system": {"f_nominal": 50.0},
+        "apcl": {"omega0": 1.0},
+        "limiter": {"alpha_vi": None},
+    }))
+    old = load_scenario(legacy)
+    assert old.system == SystemParams()
+    assert old.apcl == scn.apcl
+    assert old.limiter == scn.limiter
 
 
 def test_validation_errors():
@@ -102,6 +114,9 @@ def test_validation_errors():
         scenario_from_dict({"horizon": 1.0, "apcl": {"p0": -0.1}})
     with pytest.raises(ValidationError, match="fault_clear"):
         scenario_from_dict({"horizon": 1.0, "events": [{"time": 0.5, "kind": "fault_clear"}]})
+    # the virtual-impedance X/R ratio is set in one place only
+    with pytest.raises(ValidationError, match="system.alpha_vi"):
+        scenario_from_dict({"horizon": 1.0, "limiter": {"alpha_vi": 10.0}})
 
 
 def test_phasor_polar_form_accepted():
@@ -114,7 +129,7 @@ def test_phasor_polar_form_accepted():
 
 def _write_fast_scenario(tmp_path, **overrides):
     scn = build_case("caseA1")
-    scn = replace(scn, horizon=0.3, events=(), relay=None, name="fast", **overrides)
+    scn = replace(scn, **{"horizon": 0.3, "events": (), "relay": None, "name": "fast", **overrides})
     path = tmp_path / "fast.json"
     save_scenario(scn, path)
     return path
@@ -136,6 +151,18 @@ def test_cli_simulate_writes_outputs(tmp_path):
     assert summary["boundaries"]["delta_th"] == pytest.approx(1.1167, abs=2e-4)
     assert summary["boundaries"]["delta_lim"] == pytest.approx(1.3780, abs=2e-4)
     assert (out / "relay_events.csv").exists()
+
+
+def test_cli_simulate_short_post_event_horizon(tmp_path):
+    # too little record after the event to classify: outputs written, no verdict
+    path = _write_fast_scenario(tmp_path, events=(Event(0.1, EventKind.PHASE_JUMP, -0.5),))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] is None
+    assert summary["max_delta_excursion"] is None
+    assert summary["pole_slips"] is None
+    assert len((out / "record.csv").read_text().splitlines()) == int(round(0.3 / 5e-4)) + 2
 
 
 def test_cli_simulate_byte_identical_reruns(tmp_path):
@@ -190,10 +217,27 @@ def test_cli_sweep_inertia_slows_first_swing(tmp_path):
     assert by_h[9.0]["first_swing_period"] > by_h[3.0]["first_swing_period"]
 
 
-def test_cli_error_exit_code(tmp_path):
+BAD_SCENARIOS = {
+    "malformed-json": "{",
+    "nan-dt": '{"horizon": 1.0, "dt": NaN}',
+    "infinite-horizon": '{"horizon": Infinity}',
+    "text-v_g_mag": '{"horizon": 1.0, "system": {"v_g_mag": "abc"}}',
+    "text-event-time": '{"horizon": 1.0, "events": [{"time": "x", "kind": "phase_jump"}]}',
+    "text-z_g": '{"horizon": 1.0, "system": {"z_g": {"re": "a", "im": 0.6}}}',
+    "text-time_delay": '{"horizon": 1.0, "relay": {"zones": [{"reach": [0.05, 0.48], "time_delay": "q"}]}}',
+    "event-not-object": '{"horizon": 1.0, "events": [5]}',
+    "nan-apcl-h": '{"horizon": 1.0, "apcl": {"h": NaN}}',
+    "numeric-limiter-alpha_vi": '{"horizon": 1.0, "limiter": {"alpha_vi": 10.0}}',
+    "numeric-outputs": '{"horizon": 1.0, "outputs": 5}',
+}
+
+
+@pytest.mark.parametrize("text", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS.keys())
+def test_cli_error_exit_code(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    assert main(["simulate", "--scenario", str(bad)]) == 1
+    bad.write_text(text)
+    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_case_and_strategy_flags(tmp_path):
