@@ -6,7 +6,6 @@ from .dynamics import (
     ApclParams,
     Event,
     EventKind,
-    LimiterState,
     SimState,
     SimulationRecord,
     electrical_power,

@@ -12,15 +12,14 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, cases, dynamics
-from .errors import GfmSwingError, InsufficientHorizon
+from .errors import GfmSwingError, InsufficientHorizon, ValidationError
 from .limiter import Strategy, critical_angle
-from .scenario import Scenario, load_scenario, scenario_to_dict
+from .scenario import Scenario, _float, load_scenario, scenario_to_dict
 from .trajectory import full_cycle
 
 
@@ -42,9 +41,15 @@ def _strategy_or_none(args) -> Strategy | None:
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    if getattr(args, "dt", None):
+    if args.dt is not None:
         scn = replace(scn, dt=args.dt)
     return scn
+
+
+def _samples(args) -> int:
+    if args.samples < 3:
+        raise ValidationError(f"--samples: expected at least 3, got {args.samples}")
+    return args.samples
 
 
 def _out_dir(args, scn: Scenario) -> Path:
@@ -84,6 +89,23 @@ def _write_summary(path: Path, payload: dict) -> None:
     (path / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_NO_VERDICT = {"verdict": None, "max_delta_excursion": None, "pole_slips": None}
+
+
+def _verdict(record) -> dict:
+    """Verdict fields of a summary; all ``None`` when too little record follows the last event."""
+    try:
+        verdict = analysis.classify_stability(record)
+    except InsufficientHorizon as exc:
+        print(f"no verdict: {exc}")
+        return _NO_VERDICT
+    return {
+        "verdict": verdict.classification.value,
+        "max_delta_excursion": verdict.max_delta_excursion,
+        "pole_slips": verdict.pole_slips,
+    }
+
+
 def cmd_simulate(args) -> int:
     scn = _apply_overrides(_load(args), args)
     out = _out_dir(args, scn)
@@ -109,25 +131,19 @@ def cmd_simulate(args) -> int:
         ),
     )
     _write_csv(out / "relay_events.csv", ["t", "event", "element"], record.relay_events)
-    try:
-        verdict = analysis.classify_stability(record) if record.events else None
-    except InsufficientHorizon as exc:
-        print(f"no verdict: {exc}")
-        verdict = None
+    verdict = _verdict(record) if record.events else _NO_VERDICT
     summary = {
         "scenario": scenario_to_dict(scn),
         "boundaries": _boundary_angles(scn),
-        "verdict": None if verdict is None else verdict.classification.value,
-        "max_delta_excursion": None if verdict is None else verdict.max_delta_excursion,
-        "pole_slips": None if verdict is None else verdict.pole_slips,
+        **verdict,
         "relay_events": [list(entry) for entry in record.relay_events],
         "psb_ever": bool(record.psb.any()),
         "ost_ever": bool(record.ost.any()),
     }
     _write_summary(out, summary)
     print(f"simulate {scn.name}: wrote {out / 'record.csv'}")
-    if verdict is not None:
-        print(f"verdict: {verdict.classification.value} (pole slips: {verdict.pole_slips})")
+    if verdict["verdict"] is not None:
+        print(f"verdict: {verdict['verdict']} (pole slips: {verdict['pole_slips']})")
     return 0
 
 
@@ -135,7 +151,7 @@ def cmd_trajectory(args) -> int:
     scn = _load(args)
     out = _out_dir(args, scn)
     strategy = _strategy_or_none(args) or scn.limiter.strategy
-    samples = full_cycle(strategy, scn.system, n_samples=args.samples)
+    samples = full_cycle(strategy, scn.system, n_samples=_samples(args), gain=scn.limiter.k_vi)
     _write_csv(
         out / "trajectory.csv",
         ["delta", "re", "im", "segment"],
@@ -155,7 +171,8 @@ def cmd_trajectory(args) -> int:
 def cmd_pdelta(args) -> int:
     scn = _load(args)
     out = _out_dir(args, scn)
-    curves = {s: analysis.p_delta_curve(s, scn.system, n=args.samples) for s in Strategy}
+    n, gain = _samples(args), scn.limiter.k_vi
+    curves = {s: analysis.p_delta_curve(s, scn.system, n=n, gain=gain) for s in Strategy}
     ref = curves[Strategy.NONE]
     _write_csv(
         out / "pdelta.csv",
@@ -185,47 +202,22 @@ def cmd_pdelta(args) -> int:
 def cmd_sweep(args) -> int:
     scn = _load(args)
     out = _out_dir(args, scn)
-    h_values = _parse_grid(args.h) or [scn.apcl.h]
-    dp_values = _parse_grid(args.dp) or [scn.apcl.d_p]
+    h_values = _parse_grid(args.h, "--h") or [scn.apcl.h]
+    dp_values = _parse_grid(args.dp, "--dp") or [scn.apcl.d_p]
+    try:
+        pairs = itertools.product(h_values, dp_values)
+        grid = [replace(scn.apcl, h=h, d_p=d_p) for h, d_p in pairs]
+    except ValueError as exc:
+        raise ValidationError(f"--h/--dp: {exc}") from exc
     rows = []
-    for h, d_p in itertools.product(h_values, dp_values):
-        variant = replace(scn, apcl=replace(scn.apcl, h=h, d_p=d_p))
-        record = dynamics.run_scenario(variant)
-        verdict = analysis.classify_stability(record)
+    for apcl in grid:
+        record = dynamics.run_scenario(replace(scn, apcl=apcl))
         first_swing = _first_swing_period(record)
-        rows.append(
-            (
-                h,
-                d_p,
-                verdict.classification.value,
-                verdict.pole_slips,
-                verdict.max_delta_excursion,
-                first_swing if first_swing is not None else math.nan,
-            )
-        )
-    _write_csv(
-        out / "sweep.csv",
-        ["h", "d_p", "verdict", "pole_slips", "max_delta_excursion", "first_swing_period"],
-        rows,
-    )
-    _write_summary(
-        out,
-        {
-            "scenario": scenario_to_dict(scn),
-            "boundaries": _boundary_angles(scn),
-            "sweep": [
-                {
-                    "h": r[0],
-                    "d_p": r[1],
-                    "verdict": r[2],
-                    "pole_slips": r[3],
-                    "max_delta_excursion": r[4],
-                    "first_swing_period": None if math.isnan(r[5]) else r[5],
-                }
-                for r in rows
-            ],
-        },
-    )
+        rows.append({"h": apcl.h, "d_p": apcl.d_p, **_verdict(record), "first_swing_period": first_swing})
+    header = ["h", "d_p", "verdict", "pole_slips", "max_delta_excursion", "first_swing_period"]
+    _write_csv(out / "sweep.csv", header, ([row[key] for key in header] for row in rows))
+    summary = {"scenario": scenario_to_dict(scn), "boundaries": _boundary_angles(scn), "sweep": rows}
+    _write_summary(out, summary)
     print(f"sweep {scn.name}: wrote {out / 'sweep.csv'}")
     return 0
 
@@ -250,10 +242,10 @@ def _first_swing_period(record) -> float | None:
     return None
 
 
-def _parse_grid(text: str | None) -> list[float] | None:
+def _parse_grid(text: str | None, flag: str) -> list[float] | None:
     if not text:
         return None
-    return [float(x) for x in text.split(",") if x.strip()]
+    return [_float(x, flag) for x in text.split(",") if x.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:

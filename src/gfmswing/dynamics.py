@@ -29,7 +29,7 @@ from .limiter import (
     vi_gain_from_drop,
 )
 from .network import NetworkSolution, SystemParams, active_power, solve_faulted
-from .relay import RelaySettings, RelayState, relay_step
+from .relay import RelayState, relay_step
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,13 @@ class ApclParams:
     freq_clamp: float = 0.01
 
     def __post_init__(self):
-        problems = []
-        if self.h <= 0.0:
-            problems.append("h must be positive")
-        if self.d_p <= 0.0:
-            problems.append("d_p must be positive")
-        if self.freq_clamp <= 0.0:
-            problems.append("freq_clamp must be positive")
-        if self.omega_n <= 0.0:
-            problems.append("omega_n must be positive")
+        problems = [
+            f"{name} must be positive and finite"
+            for name in ("h", "d_p", "freq_clamp", "omega_n")
+            if not 0.0 < getattr(self, name) < math.inf
+        ]
+        if not math.isfinite(self.p0):
+            problems.append("p0 must be finite")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -84,12 +82,16 @@ def validate_events(events) -> tuple[Event, ...]:
     faulted = False
     last_t = -math.inf
     for ev in events:
-        if ev.time < last_t:
+        if not math.isfinite(ev.time) or (ev.value is not None and not math.isfinite(ev.value)):
+            problems.append(f"event time and value must be finite (got {ev.time!r}, {ev.value!r})")
+        elif ev.time < last_t:
             problems.append(f"event times must be non-decreasing (got {ev.time!r} after {last_t!r})")
         last_t = ev.time
         if ev.kind is EventKind.FAULT_APPLY:
             if faulted:
                 problems.append("fault_apply while a fault is already active")
+            if ev.value is not None and not 0.0 <= ev.value <= 1.0:
+                problems.append(f"fault_apply location must lie in [0, 1] (got {ev.value!r})")
             faulted = True
         elif ev.kind is EventKind.FAULT_CLEAR:
             if not faulted:
@@ -105,31 +107,22 @@ def validate_events(events) -> tuple[Event, ...]:
 
 
 @dataclass(frozen=True)
-class LimiterState:
-    """Strategy tag, adaptive PI state and the last solved virtual impedance."""
-
-    strategy: Strategy = Strategy.NONE
-    adaptive: AdaptiveState = AdaptiveState()
-    vi: ViValue = ViValue()
-
-
-@dataclass(frozen=True)
 class SimState:
     """Instantaneous simulation state.
 
     ``delta`` is kept unwrapped so pole slips accumulate; ``p0`` is the live
     setpoint (power steps modify it); ``next_event`` is the position in the
-    event schedule.
+    event schedule; ``adaptive`` is the adaptive strategy's PI state.
     """
 
     delta: float
     omega_dev: float
-    limiter: LimiterState
     t: float = 0.0
     p0: float = 0.0
     faulted: bool = False
     fault_fraction: float = 0.5
     next_event: int = 0
+    adaptive: AdaptiveState = AdaptiveState()
 
 
 @dataclass
@@ -162,30 +155,28 @@ def swing_derivatives(state: SimState, p_e: float, params: ApclParams) -> tuple[
     return d_omega, d_delta
 
 
-def _resolve_gain(limiter: LimiterState, params: SystemParams, cfg: LimiterConfig) -> float:
-    if limiter.strategy is Strategy.VARIABLE_VI:
+def _limiter_gain(cfg: LimiterConfig, adaptive: AdaptiveState, params: SystemParams) -> float:
+    """VI gain of the configured strategy; the adaptive one reads its PI state's drop."""
+    if cfg.strategy is Strategy.VARIABLE_VI:
         return cfg.k_vi if cfg.k_vi is not None else variable_vi_gain(params)
-    if limiter.strategy is Strategy.ADAPTIVE_VI:
-        return vi_gain_from_drop(limiter.adaptive.delta_v, params)
+    if cfg.strategy is Strategy.ADAPTIVE_VI:
+        return vi_gain_from_drop(adaptive.delta_v, params)
     return 0.0
 
 
 def electrical_power(
     delta: float,
-    limiter: LimiterState,
+    gain: float,
     params: SystemParams,
-    cfg: LimiterConfig,
     faulted: bool = False,
     fault_fraction: float = 0.5,
 ) -> tuple[float, NetworkSolution, ViValue]:
-    """Electrical power (and full solution) under the active strategy.
+    """Electrical power (and full solution) with a virtual-impedance gain.
 
-    The variable strategy solves the implicit current relation with its
-    designed gain; the adaptive strategy uses the gain implied by the PI
-    state's present voltage drop. During a fault the loop runs to the
+    The loop current is solved self-consistently with the VI of ``gain``
+    (zero gives the unlimited loop). During a fault the loop runs to the
     zero-voltage node instead of the grid source.
     """
-    gain = _resolve_gain(limiter, params, cfg)
     if not faulted:
         _, vi, sol = solve_variable_vi_current(delta, params, gain)
         return active_power(sol), sol, vi
@@ -229,15 +220,16 @@ def _advance(
 ) -> tuple[SimState, NetworkSolution, float, ViValue]:
     """One macro step; returns the new state plus its end-of-step solution.
 
-    The frequency deviation is clamped after the step and the adaptive PI
-    advances once, seeing the end-of-step current magnitude. The returned
+    The VI gain is resolved once, from the PI state at the start of the
+    step. The frequency deviation is clamped after the step and the adaptive
+    PI advances once, seeing the end-of-step current magnitude. The returned
     solution/power/VI are the end-of-step sample (computed just before the
     PI update, which only takes effect on the next step).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     state = _apply_events(state, dt, events)
-    lim = state.limiter
+    gain = _limiter_gain(cfg, state.adaptive, system)
     faulted, frac = state.faulted, state.fault_fraction
     p0 = state.p0
     inv_2h = 1.0 / (2.0 * apcl.h)
@@ -245,7 +237,7 @@ def _advance(
     omega_n = apcl.omega_n
 
     def p_of(d: float) -> float:
-        return electrical_power(d, lim, system, cfg, faulted=faulted, fault_fraction=frac)[0]
+        return electrical_power(d, gain, system, faulted=faulted, fault_fraction=frac)[0]
 
     d0, w0 = state.delta, state.omega_dev
 
@@ -267,16 +259,14 @@ def _advance(
         omega_new = -clamp
 
     p_end, sol_end, vi_end = electrical_power(
-        delta_new, lim, system, cfg, faulted=faulted, fault_fraction=frac
+        delta_new, gain, system, faulted=faulted, fault_fraction=frac
     )
-    if lim.strategy is Strategy.ADAPTIVE_VI:
-        adaptive = adaptive_vi_step(lim.adaptive, abs(sol_end.current), dt, cfg, system.i_max)
-    else:
-        adaptive = lim.adaptive
-    lim_new = LimiterState(strategy=lim.strategy, adaptive=adaptive, vi=vi_end)
+    adaptive = state.adaptive
+    if cfg.strategy is Strategy.ADAPTIVE_VI:
+        adaptive = adaptive_vi_step(adaptive, abs(sol_end.current), dt, cfg, system.i_max)
 
     new_state = replace(
-        state, delta=delta_new, omega_dev=omega_new, limiter=lim_new, t=state.t + dt
+        state, delta=delta_new, omega_dev=omega_new, t=state.t + dt, adaptive=adaptive
     )
     return new_state, sol_end, p_end, vi_end
 
@@ -293,25 +283,19 @@ def step(
     return _advance(state, dt, system, apcl, cfg, events)[0]
 
 
-def equilibrium_angle(
-    p0: float,
-    system: SystemParams,
-    cfg: LimiterConfig,
-    limiter: LimiterState | None = None,
-) -> float:
+def equilibrium_angle(p0: float, system: SystemParams, cfg: LimiterConfig) -> float:
     """Power angle at which the strategy-consistent electrical power equals ``p0``.
 
-    Scans the rising branch of the power curve and bisects the bracketing
-    interval. Raises ``ValidationError`` when the setpoint exceeds what the
-    curve can deliver.
+    The adaptive strategy's PI state starts at rest. Scans the rising branch
+    of the power curve and bisects the bracketing interval. Raises
+    ``ValidationError`` when the setpoint exceeds what the curve can deliver.
     """
-    if limiter is None:
-        limiter = LimiterState(strategy=cfg.strategy)
     if p0 <= 0.0:
         raise ValidationError("initial power setpoint must be positive")
+    gain = _limiter_gain(cfg, AdaptiveState(), system)
 
     def p_of(d: float) -> float:
-        return electrical_power(d, limiter, system, cfg)[0]
+        return electrical_power(d, gain, system)[0]
 
     n_scan = 720
     lo = 0.0
@@ -341,18 +325,18 @@ def equilibrium_angle(
 
 def initial_state(system: SystemParams, apcl: ApclParams, cfg: LimiterConfig) -> SimState:
     """Steady pre-disturbance state: equilibrium angle, zero frequency deviation."""
-    limiter = LimiterState(strategy=cfg.strategy)
-    delta0 = equilibrium_angle(apcl.p0, system, cfg, limiter)
-    return SimState(delta=delta0, omega_dev=0.0, limiter=limiter, t=0.0, p0=apcl.p0)
+    delta0 = equilibrium_angle(apcl.p0, system, cfg)
+    return SimState(delta=delta0, omega_dev=0.0, t=0.0, p0=apcl.p0)
 
 
 def run_scenario(scenario) -> SimulationRecord:
-    """Integrate a scenario from t=0 to its horizon, sampling every step.
+    """Integrate a scenario from t=0 to its horizon, then let the relay observe it.
 
     ``scenario`` provides system/apcl/limiter parameters, an event list, a
-    horizon, a step size and (optionally) relay settings; the apparent
-    impedance stream is fed to the relay and its flags are recorded
-    alongside the electrical channels.
+    horizon, a step size and relay settings (or ``None``). The relay never
+    acts back on the swing, so it walks the recorded apparent-impedance
+    stream after the integration; an undefined impedance is recorded as NaN
+    and lies outside every characteristic.
     """
     system: SystemParams = scenario.system
     apcl: ApclParams = scenario.apcl
@@ -360,10 +344,8 @@ def run_scenario(scenario) -> SimulationRecord:
     events = validate_events(scenario.events)
     dt = scenario.dt
     n_steps = int(round(scenario.horizon / dt))
-    relay_settings: RelaySettings | None = getattr(scenario, "relay", None)
 
     state = initial_state(system, apcl, cfg)
-    relay = RelayState() if relay_settings is not None else None
 
     n = n_steps + 1
     t_arr = np.empty(n)
@@ -379,7 +361,6 @@ def run_scenario(scenario) -> SimulationRecord:
     ost_arr = np.zeros(n, dtype=bool)
 
     def record(k: int, st: SimState, sol: NetworkSolution, p_e: float, vi: ViValue):
-        nonlocal relay
         t_arr[k] = st.t
         delta_arr[k] = st.delta
         omega_arr[k] = st.omega_dev
@@ -393,17 +374,22 @@ def run_scenario(scenario) -> SimulationRecord:
         pe_arr[k] = p_e
         vir_arr[k] = vi.r_vi
         vix_arr[k] = vi.x_vi
-        if relay is not None:
-            z = sol.z_apparent if sol.z_apparent is not None else None
-            relay = relay_step(relay, z, st.t, dt, relay_settings)
-            psb_arr[k] = relay.psb_asserted
-            ost_arr[k] = relay.ost_tripped
 
-    p_e0, sol0, vi0 = electrical_power(state.delta, state.limiter, system, cfg)
+    p_e0, sol0, vi0 = electrical_power(state.delta, _limiter_gain(cfg, state.adaptive, system), system)
     record(0, state, sol0, p_e0, vi0)
     for k in range(1, n):
         state, sol, p_e, vi = _advance(state, dt, system, apcl, cfg, events)
         record(k, state, sol, p_e, vi)
+
+    relay_events = ()
+    if scenario.relay is not None:
+        relay = RelayState()
+        for k in range(n):
+            z = complex(zre_arr[k], zim_arr[k])
+            relay = relay_step(relay, z, float(t_arr[k]), dt, scenario.relay)
+            psb_arr[k] = relay.psb_asserted
+            ost_arr[k] = relay.ost_tripped
+        relay_events = relay.event_log
 
     return SimulationRecord(
         t=t_arr,
@@ -417,7 +403,7 @@ def run_scenario(scenario) -> SimulationRecord:
         vi_x=vix_arr,
         psb=psb_arr,
         ost=ost_arr,
-        relay_events=relay.event_log if relay is not None else (),
+        relay_events=relay_events,
         events=events,
         dt=dt,
     )

@@ -45,12 +45,12 @@ class LimiterConfig:
     delta_v_max: float = 2.0
 
     def __post_init__(self):
-        if self.k_vi is not None and self.k_vi < 0.0:
-            raise ValueError("k_vi must be >= 0")
-        if self.kp < 0.0 or self.ki < 0.0:
-            raise ValueError("kp and ki must be >= 0")
-        if self.delta_v_max <= 0.0:
-            raise ValueError("delta_v_max must be positive")
+        if self.k_vi is not None and not 0.0 <= self.k_vi < math.inf:
+            raise ValueError("k_vi must be >= 0 and finite")
+        if not (0.0 <= self.kp < math.inf and 0.0 <= self.ki < math.inf):
+            raise ValueError("kp and ki must be >= 0 and finite")
+        if not 0.0 < self.delta_v_max < math.inf:
+            raise ValueError("delta_v_max must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class ViValue:
     @property
     def as_complex(self) -> complex:
         return complex(self.r_vi, self.x_vi)
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.r_vi, self.x_vi)
 
     @property
     def active(self) -> bool:

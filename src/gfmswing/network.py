@@ -94,14 +94,16 @@ class SystemParams:
     def __post_init__(self):
         problems = []
         for name in ("z_g", "z_l", "z_tr"):
-            if abs(getattr(self, name)) <= 0.0:
-                problems.append(f"{name} must have nonzero magnitude")
-        if not self.i_max > self.i_th > 0.0:
-            problems.append("require i_max > i_th > 0")
-        if self.alpha_vi is not None and self.alpha_vi < 0.0:
-            problems.append("alpha_vi must be >= 0")
-        if self.v_g_mag <= 0.0:
-            problems.append("v_g_mag must be positive")
+            if not 0.0 < abs(getattr(self, name)) < math.inf:
+                problems.append(f"{name} must have a nonzero finite magnitude")
+        if not cmath.isfinite(self.e_ref):
+            problems.append("e_ref must be finite")
+        if not math.inf > self.i_max > self.i_th > 0.0:
+            problems.append("require i_max > i_th > 0, both finite")
+        if self.alpha_vi is not None and not 0.0 <= self.alpha_vi < math.inf:
+            problems.append("alpha_vi must be >= 0 and finite")
+        if not 0.0 < self.v_g_mag < math.inf:
+            problems.append("v_g_mag must be positive and finite")
         if problems:
             raise ValueError("; ".join(problems))
 

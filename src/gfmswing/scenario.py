@@ -21,6 +21,7 @@ from .network import Phasor, SystemParams
 from .relay import Blinder, MhoZone, RelaySettings
 
 SCHEMA_VERSION = 1
+MAX_STEPS = 10_000_000  # integration steps per run; the record holds 11 channels per step
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,14 @@ class Scenario:
 
     def __post_init__(self):
         problems = []
-        if self.dt <= 0.0:
-            problems.append("dt must be positive")
-        if self.horizon <= 0.0:
-            problems.append("horizon must be positive")
+        if not 0.0 < self.dt < math.inf:
+            problems.append("dt must be positive and finite")
+        if not 0.0 < self.horizon < math.inf:
+            problems.append("horizon must be positive and finite")
+        if not problems and self.horizon / self.dt > MAX_STEPS:
+            problems.append(
+                f"horizon/dt = {self.horizon / self.dt:.3g} steps exceeds the cap of {MAX_STEPS}"
+            )
         if self.events:
             t_last = max(ev.time for ev in self.events)
             if self.horizon <= t_last:

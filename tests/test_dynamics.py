@@ -11,7 +11,7 @@ from gfmswing import (
     Event,
     EventKind,
     LimiterConfig,
-    LimiterState,
+    RelayState,
     SimState,
     Strategy,
     SystemParams,
@@ -20,10 +20,12 @@ from gfmswing import (
     electrical_power,
     initial_state,
     line_distance,
+    relay_step,
     run_scenario,
     solve_variable_vi_current,
     step,
     swing_derivatives,
+    variable_vi_gain,
 )
 from gfmswing.cases import build_case
 from gfmswing.dynamics import validate_events
@@ -46,7 +48,7 @@ def make_scenario(**overrides):
 
 
 def test_swing_derivatives_equilibrium():
-    state = SimState(delta=0.3, omega_dev=0.0, limiter=LimiterState(), p0=0.5)
+    state = SimState(delta=0.3, omega_dev=0.0, p0=0.5)
     d_omega, d_delta = swing_derivatives(state, 0.5, ApclParams(h=7.0, d_p=0.05, p0=0.5))
     assert d_omega == 0.0
     assert d_delta == 0.0
@@ -54,14 +56,14 @@ def test_swing_derivatives_equilibrium():
 
 def test_swing_derivatives_direct_substitution():
     params = ApclParams(h=7.0, d_p=0.05, p0=1.0)
-    state = SimState(delta=0.0, omega_dev=0.0, limiter=LimiterState(), p0=1.0)
+    state = SimState(delta=0.0, omega_dev=0.0, p0=1.0)
     d_omega, _ = swing_derivatives(state, 0.0, params)
     assert d_omega == pytest.approx(1.0 / 14.0)
 
 
 def test_swing_derivatives_damping_scales_inversely():
     params = ApclParams(h=7.0, d_p=0.05, p0=0.5)
-    state = SimState(delta=0.0, omega_dev=0.01, limiter=LimiterState(), p0=0.5)
+    state = SimState(delta=0.0, omega_dev=0.01, p0=0.5)
     d_omega, d_delta = swing_derivatives(state, 0.5, params)
     # oracle: -(omega_dev / d_p) / (2 h)
     assert d_omega == pytest.approx(-0.2 / 14.0)
@@ -70,30 +72,23 @@ def test_swing_derivatives_damping_scales_inversely():
 
 def test_electrical_power_strategies_agree_below_threshold():
     params = SystemParams()
-    cfg_none = LimiterConfig(strategy=Strategy.NONE)
-    cfg_var = LimiterConfig(strategy=Strategy.VARIABLE_VI)
     delta_th = critical_angle(params, params.i_th)
     for delta in np.linspace(0.05, delta_th - 0.05, 20):
-        p_none, _, _ = electrical_power(float(delta), LimiterState(Strategy.NONE), params, cfg_none)
-        p_var, _, _ = electrical_power(
-            float(delta), LimiterState(Strategy.VARIABLE_VI), params, cfg_var
-        )
+        p_none, _, _ = electrical_power(float(delta), 0.0, params)
+        p_var, _, _ = electrical_power(float(delta), variable_vi_gain(params), params)
         assert p_var == pytest.approx(p_none, abs=1e-10)
 
 
 def test_electrical_power_zero_angle():
     params = SystemParams()
-    p, sol, _ = electrical_power(0.0, LimiterState(), params, LimiterConfig())
+    p, sol, _ = electrical_power(0.0, 0.0, params)
     assert p == pytest.approx(0.0, abs=1e-20)
     assert sol.zero_current
 
 
 def test_electrical_power_variable_matches_solver():
     params = SystemParams()
-    cfg = LimiterConfig(strategy=Strategy.VARIABLE_VI)
-    p, sol, vi = electrical_power(
-        math.pi / 2, LimiterState(Strategy.VARIABLE_VI), params, cfg
-    )
+    p, sol, vi = electrical_power(math.pi / 2, variable_vi_gain(params), params)
     mag, vi2, sol2 = solve_variable_vi_current(math.pi / 2, params)
     assert vi == vi2
     assert p == pytest.approx(
@@ -189,7 +184,7 @@ def test_quasi_static_consistency_against_closed_form():
     state = replace(state, delta=state.delta + 0.6)  # perturbed start, no events
     for _ in range(2000):
         state = step(state, 5e-4, system, apcl, cfg)
-        _, sol, _ = electrical_power(state.delta, state.limiter, system, cfg)
+        _, sol, _ = electrical_power(state.delta, 0.0, system)
         if not sol.zero_current:
             assert line_distance(complex(sol.z_apparent), system) < 1e-6
 
@@ -229,6 +224,27 @@ def test_case_b2_full_cycle_unstable():
     rec = run_scenario(build_case("caseB2"))
     span = rec.delta.max() - rec.delta.min()
     assert span > 2 * math.pi  # the unwrapped angle traverses a full cycle
+
+
+def test_relay_is_an_observer():
+    # the relay reads the impedance stream and never acts back on the swing
+    scn = replace(build_case("caseB2"), horizon=8.0, dt=1e-3)
+    watched = run_scenario(scn)
+    blind = run_scenario(replace(scn, relay=None))
+    for channel in ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x"):
+        assert np.array_equal(getattr(watched, channel), getattr(blind, channel), equal_nan=True)
+    assert not blind.psb.any() and not blind.relay_events
+    # replaying the relay over the relay-less record reproduces its outputs
+    relay = RelayState()
+    psb, ost = [], []
+    for t, z_re, z_im in zip(blind.t, blind.zapp_re, blind.zapp_im):
+        relay = relay_step(relay, complex(z_re, z_im), float(t), scn.dt, scn.relay)
+        psb.append(relay.psb_asserted)
+        ost.append(relay.ost_tripped)
+    assert np.array_equal(watched.psb, psb) and np.array_equal(watched.ost, ost)
+    assert watched.relay_events == relay.event_log
+    kinds = {kind for _, kind, _ in watched.relay_events}
+    assert {"psb_assert", "ost_trip", "trip"} <= kinds
 
 
 def test_initial_state_rejects_excess_setpoint():

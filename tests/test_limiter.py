@@ -245,18 +245,16 @@ def test_adaptive_state_invariant_random_sequences():
 
 
 def test_adaptive_closed_loop_converges_to_ceiling():
-    from gfmswing import LimiterState, electrical_power
+    from gfmswing import electrical_power
 
     params = SystemParams()
     cfg = LimiterConfig(strategy=Strategy.ADAPTIVE_VI)
     for delta in (1.6, 2.4, math.pi, 4.0):
         st = AdaptiveState()
-        lim = LimiterState(strategy=Strategy.ADAPTIVE_VI)
         for _ in range(3000):
-            _, sol, vi = electrical_power(delta, lim, params, cfg)
+            _, sol, _ = electrical_power(delta, vi_gain_from_drop(st.delta_v, params), params)
             st = adaptive_vi_step(st, abs(sol.current), 5e-4, cfg, params.i_max)
-            lim = LimiterState(Strategy.ADAPTIVE_VI, st, vi)
-        _, sol, _ = electrical_power(delta, lim, params, cfg)
+        _, sol, _ = electrical_power(delta, vi_gain_from_drop(st.delta_v, params), params)
         assert abs(sol.current) == pytest.approx(params.i_max, abs=1e-6)
 
 

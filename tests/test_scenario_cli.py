@@ -1,14 +1,33 @@
 """Scenario file handling and command-line front end."""
 
+import csv
 import json
 from dataclasses import replace
 
 import pytest
 
-from gfmswing import Event, EventKind, ParseError, Strategy, SystemParams, ValidationError
+from gfmswing import (
+    ApclParams,
+    Event,
+    EventKind,
+    LimiterConfig,
+    ParseError,
+    Segment,
+    Strategy,
+    SystemParams,
+    ValidationError,
+    full_cycle,
+    p_delta_curve,
+)
 from gfmswing.cases import CASE_IDS, build_case, case_d_system
 from gfmswing.cli import main
-from gfmswing.scenario import load_scenario, save_scenario, scenario_to_dict, scenario_from_dict
+from gfmswing.scenario import (
+    MAX_STEPS,
+    load_scenario,
+    save_scenario,
+    scenario_to_dict,
+    scenario_from_dict,
+)
 
 
 def test_case_library_ids():
@@ -153,16 +172,21 @@ def test_cli_simulate_writes_outputs(tmp_path):
     assert (out / "relay_events.csv").exists()
 
 
-def test_cli_simulate_short_post_event_horizon(tmp_path):
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_simulate_short_post_event_horizon(tmp_path, command):
     # too little record after the event to classify: outputs written, no verdict
     path = _write_fast_scenario(tmp_path, events=(Event(0.1, EventKind.PHASE_JUMP, -0.5),))
     out = tmp_path / "out"
-    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
+    if command == "sweep":
+        (summary,) = summary["sweep"]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
+    else:
+        assert len((out / "record.csv").read_text().splitlines()) == int(round(0.3 / 5e-4)) + 2
     assert summary["verdict"] is None
     assert summary["max_delta_excursion"] is None
     assert summary["pole_slips"] is None
-    assert len((out / "record.csv").read_text().splitlines()) == int(round(0.3 / 5e-4)) + 2
 
 
 def test_cli_simulate_byte_identical_reruns(tmp_path):
@@ -229,6 +253,8 @@ BAD_SCENARIOS = {
     "nan-apcl-h": '{"horizon": 1.0, "apcl": {"h": NaN}}',
     "numeric-limiter-alpha_vi": '{"horizon": 1.0, "limiter": {"alpha_vi": 10.0}}',
     "numeric-outputs": '{"horizon": 1.0, "outputs": 5}',
+    "huge-horizon": '{"horizon": 1e15}',
+    "fault-beyond-line": '{"horizon": 1.0, "events": [{"time": 0.5, "kind": "fault_apply", "value": 1.5}]}',
 }
 
 
@@ -238,6 +264,76 @@ def test_cli_error_exit_code(tmp_path, capsys, text):
     bad.write_text(text)
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+BAD_FLAGS = {
+    "nan-dt": ["simulate", "--case", "caseA1", "--dt", "nan"],
+    "inf-dt": ["simulate", "--case", "caseA1", "--dt", "inf"],
+    "text-h": ["sweep", "--case", "caseC1", "--h", "abc"],
+    "nan-h": ["sweep", "--case", "caseC1", "--h", "nan"],
+    "two-samples": ["trajectory", "--case", "caseA1", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_cli_bad_flag_values(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ApclParams(h=NAN),
+        lambda: ApclParams(d_p=float("inf")),
+        lambda: SystemParams(v_g_mag=NAN),
+        lambda: SystemParams(i_max=float("inf")),
+        lambda: LimiterConfig(kp=NAN),
+        lambda: LimiterConfig(k_vi=NAN),
+        lambda: replace(build_case("caseA1"), dt=NAN),
+        lambda: replace(build_case("caseA1"), horizon=float("inf")),
+        lambda: replace(build_case("caseA1"), events=(Event(NAN, EventKind.PHASE_JUMP, -1.0),)),
+    ],
+    ids=["apcl-h", "apcl-d_p", "v_g_mag", "i_max", "kp", "k_vi", "dt", "horizon", "event-time"],
+)
+def test_constructors_reject_non_finite(build):
+    with pytest.raises((ValueError, ValidationError)):
+        build()
+
+
+def test_scenario_step_cap():
+    scn = build_case("caseA1")
+    replace(scn, horizon=MAX_STEPS * scn.dt)
+    with pytest.raises(ValidationError, match="steps exceeds"):
+        replace(scn, horizon=2 * MAX_STEPS * scn.dt)
+
+
+def test_cli_trajectory_and_pdelta_honour_k_vi(tmp_path):
+    limiter = LimiterConfig(strategy=Strategy.VARIABLE_VI, k_vi=5.0)
+    scn = replace(build_case("caseA2"), limiter=limiter)
+    path = tmp_path / "k5.json"
+    save_scenario(scn, path)
+    n = 199
+    for command in ("trajectory", "pdelta"):
+        argv = [command, "--scenario", str(path), "--samples", str(n), "--out", str(tmp_path / command)]
+        assert main(argv) == 0
+    rows = list(csv.DictReader((tmp_path / "trajectory" / "trajectory.csv").read_text().splitlines()))
+    tuned = full_cycle(Strategy.VARIABLE_VI, scn.system, n_samples=n, gain=5.0)
+    designed = full_cycle(Strategy.VARIABLE_VI, scn.system, n_samples=n)
+    active = [k for k, s in enumerate(tuned) if s.segment is Segment.ACTIVE_VARIABLE]
+    assert active
+    for k in active:
+        z = complex(float(rows[k]["re"]), float(rows[k]["im"]))
+        assert rows[k]["segment"] == Segment.ACTIVE_VARIABLE.value
+        assert z == complex(tuned[k].z_app)
+        assert abs(z - complex(designed[k].z_app)) > 1e-6
+    pdelta = csv.DictReader((tmp_path / "pdelta" / "pdelta.csv").read_text().splitlines())
+    p_variable = [float(r["p_variable"]) for r in pdelta]
+    assert p_variable == list(p_delta_curve(Strategy.VARIABLE_VI, scn.system, n=n, gain=5.0).p)
+    assert p_variable != list(p_delta_curve(Strategy.VARIABLE_VI, scn.system, n=n).p)
 
 
 def test_cli_case_and_strategy_flags(tmp_path):
