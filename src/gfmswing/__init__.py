@@ -26,12 +26,10 @@ from .errors import (
     ValidationError,
 )
 from .limiter import (
-    ActivationSets,
     AdaptiveState,
     LimiterConfig,
     Strategy,
     ViValue,
-    activation_sets,
     adaptive_vi_step,
     critical_angle,
     solve_limited_current,
@@ -55,6 +53,7 @@ from .trajectory import (
     PoleAtZero,
     Segment,
     TrajectorySample,
+    cycle_currents,
     full_cycle,
     limited_current_angle,
     line_distance,

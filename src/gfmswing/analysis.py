@@ -9,10 +9,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientHorizon
-from .limiter import Strategy, activation_sets, solve_variable_vi_current, variable_vi_gain
-from .network import SystemParams, active_power
+from .limiter import Strategy
+from .network import SystemParams
 from .dynamics import SimulationRecord
-from .trajectory import limited_current_angle
+from .trajectory import _cycle_grid, cycle_currents
 
 
 class Classification(Enum):
@@ -41,13 +41,6 @@ class StabilityVerdict:
     pole_slips: int
 
 
-def _unlimited_power(delta: np.ndarray, params: SystemParams) -> np.ndarray:
-    e = complex(params.e_ref)
-    v_far = params.v_g_mag * np.exp(-1j * delta)
-    current = (e - v_far) / complex(params.z_sigma)
-    return np.real(e * np.conj(current))
-
-
 def p_delta_curve(
     strategy: Strategy,
     params: SystemParams,
@@ -56,31 +49,13 @@ def p_delta_curve(
 ) -> PDeltaCurve:
     """Strategy-consistent power curve over a uniform grid on (0, 2*pi).
 
-    The variable strategy takes its current from the implicit solve; the
-    adaptive strategy uses the idealized ceiling-regulated current in its
-    active set. Outside the activation set all strategies coincide with the
-    unlimited curve.
+    The power is the one the loop current of ``cycle_currents`` delivers at
+    the PCC, so outside the activation set every strategy coincides with
+    the unlimited curve.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    delta = 2.0 * math.pi * np.arange(1, n + 1) / (n + 1)
-    sets = activation_sets(params, strategy)
-    active = np.array([sets.is_active(d) for d in delta])
-    p = _unlimited_power(delta, params)
-
-    if strategy is Strategy.VARIABLE_VI and active.any():
-        if gain is None:
-            gain = variable_vi_gain(params)
-        for i in np.flatnonzero(active):
-            p[i] = active_power(solve_variable_vi_current(float(delta[i]), params, gain)[2])
-    elif strategy is Strategy.ADAPTIVE_VI and active.any():
-        d_act = delta[active]
-        phi = params.z_sigma.ang
-        theta_i = np.array([limited_current_angle(d, phi) for d in d_act])
-        current = params.i_max * np.exp(1j * theta_i)
-        v_pcc = params.v_g_mag * np.exp(-1j * d_act) + complex(params.z_sigma) * current
-        p[active] = np.real(v_pcc * np.conj(current))
-
+    delta = _cycle_grid(n)
+    v_far, current, active = cycle_currents(strategy, params, delta, gain)
+    p = np.real((v_far + complex(params.z_sigma) * current) * np.conj(current))
     return PDeltaCurve(strategy=strategy, delta=delta, p=p, vi_active=active)
 
 

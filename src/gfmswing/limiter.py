@@ -77,30 +77,6 @@ class AdaptiveState:
     delta_v: float = 0.0
 
 
-@dataclass(frozen=True)
-class ActivationSets:
-    """Power-angle sets where a limiting strategy is inactive / active.
-
-    Over one full cycle the inactive set is [0, boundary] united with
-    [2*pi - boundary, 2*pi]; the active set is the open interval between.
-    ``boundary`` is ``None`` for the unlimited strategy (never active).
-    """
-
-    boundary: float | None
-
-    def is_active(self, delta: float) -> bool:
-        if self.boundary is None:
-            return False
-        d = delta % (2.0 * math.pi)
-        return self.boundary < d < 2.0 * math.pi - self.boundary
-
-    @property
-    def active_interval(self) -> tuple[float, float] | None:
-        if self.boundary is None:
-            return None
-        return (self.boundary, 2.0 * math.pi - self.boundary)
-
-
 def vi_gain_from_drop(delta_v: float, params: SystemParams) -> float:
     """Proportional gain that produces a given voltage drop magnitude.
 
@@ -266,21 +242,8 @@ def critical_angle(params: SystemParams, i_level: float) -> float:
     z = abs(params.z_sigma)
     arg = (e * e + v * v - (z * i_level) ** 2) / (2.0 * e * v)
     edge = 1e-9  # grazing contact survives float round-off
-    if arg > 1.0 + edge:
-        raise Unreachable(f"current never reaches {i_level!r} pu (arccos argument {arg:.6f})")
     if arg < -1.0 - edge:
+        raise Unreachable(f"current never reaches {i_level!r} pu (arccos argument {arg:.6f})")
+    if arg > 1.0 + edge:
         raise AlwaysExceeded(f"current exceeds {i_level!r} pu at every angle (arccos argument {arg:.6f})")
     return math.acos(min(max(arg, -1.0), 1.0))
-
-
-def activation_sets(params: SystemParams, strategy: Strategy) -> ActivationSets:
-    """Angle sets where the given strategy's virtual impedance is active.
-
-    The variable strategy activates once the current passes ``i_th``; the
-    adaptive strategy produces a nonzero drop only past ``i_max``.
-    """
-    if strategy is Strategy.NONE:
-        return ActivationSets(boundary=None)
-    if strategy is Strategy.VARIABLE_VI:
-        return ActivationSets(boundary=critical_angle(params, params.i_th))
-    return ActivationSets(boundary=critical_angle(params, params.i_max))

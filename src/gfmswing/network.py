@@ -96,8 +96,8 @@ class SystemParams:
         for name in ("z_g", "z_l", "z_tr"):
             if not 0.0 < abs(getattr(self, name)) < math.inf:
                 problems.append(f"{name} must have a nonzero finite magnitude")
-        if not cmath.isfinite(self.e_ref):
-            problems.append("e_ref must be finite")
+        if not (0.0 < self.e_ref.real < math.inf and self.e_ref.imag == 0.0):
+            problems.append("e_ref must be real, positive and finite (reference angle zero)")
         if not math.inf > self.i_max > self.i_th > 0.0:
             problems.append("require i_max > i_th > 0, both finite")
         if self.alpha_vi is not None and not 0.0 <= self.alpha_vi < math.inf:

@@ -85,6 +85,12 @@ class RelaySettings:
     psb_cycles: float = 2.0
     f_nominal: float = 60.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.psb_cycles < math.inf:
+            raise ValueError("psb_cycles must be >= 0 and finite")
+        if not 0.0 < self.f_nominal < math.inf:
+            raise ValueError("f_nominal must be positive and finite")
+
     @property
     def delta_t_psb(self) -> float:
         """Swing/fault discrimination threshold in seconds."""
@@ -121,14 +127,18 @@ class RelaySettings:
 
 @dataclass(frozen=True)
 class RelayState:
-    """Occupancy, timers and latched decisions of one relay instance."""
+    """Occupancy, timers and latched decisions of one relay instance.
+
+    The per-zone tuples start empty and take one entry per zone of the
+    settings at the first ``relay_step``.
+    """
 
     in_outer: bool = False
     in_middle: bool = False
     in_inner: bool = False
-    in_zone: tuple[bool, ...] = (False, False, False)
-    zone_timers: tuple[float, ...] = (0.0, 0.0, 0.0)
-    zone_tripped: tuple[bool, ...] = (False, False, False)
+    in_zone: tuple[bool, ...] = ()
+    zone_timers: tuple[float, ...] = ()
+    zone_tripped: tuple[bool, ...] = ()
     outer_entry_time: float | None = None
     psb_asserted: bool = False
     ost_tripped: bool = False
@@ -195,9 +205,10 @@ def relay_step(
         ost_episode = True
         log.append((t, "ost_trip", "inner"))
 
-    in_zone = list(state.in_zone)
-    timers = list(state.zone_timers)
-    tripped = list(state.zone_tripped)
+    n_zones = len(settings.zones)
+    in_zone = list(state.in_zone or (False,) * n_zones)
+    timers = list(state.zone_timers or (0.0,) * n_zones)
+    tripped = list(state.zone_tripped or (False,) * n_zones)
     for k, zone in enumerate(settings.zones):
         inside = (not psb) and mho_contains(z, zone)
         zone_id = f"zone{k + 1}"

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 
 from .dynamics import ApclParams, Event, EventKind, validate_events
 from .errors import ParseError, ValidationError
-from .limiter import LimiterConfig, Strategy
+from .limiter import LimiterConfig
 from .network import Phasor, SystemParams
 from .relay import Blinder, MhoZone, RelaySettings
 
@@ -93,35 +94,62 @@ def _phasor_from_value(value, field: str) -> Phasor:
     raise ValidationError(f"{field}: cannot interpret {value!r} as a phasor")
 
 
+def _params_to_dict(params) -> dict:
+    """One parameter object as a JSON section, its fields in declaration order,
+    each written the way ``_field_value`` reads it back."""
+    section = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(f.default, Enum):
+            value = value.value
+        elif isinstance(f.default, complex):
+            value = _phasor_to_dict(value)
+        section[f.name] = value
+    return section
+
+
+def _field_value(value, default, field: str):
+    """A scenario-file value read like the field's default value.
+
+    An Enum is read by value, a phasor through ``_phasor_from_value``, a
+    field defaulting to ``None`` as ``null`` or a finite number, anything
+    else as a finite number.
+    """
+    if isinstance(default, Enum):
+        try:
+            return type(default)(value)
+        except ValueError:
+            members = [m.value for m in type(default)]
+            raise ValidationError(f"{field}: {value!r} is not one of {members}") from None
+    if isinstance(default, complex):
+        return _phasor_from_value(value, field)
+    if default is None and value is None:
+        return None
+    return _float(value, field)
+
+
+def _params_from_dict(cls, d, section: str):
+    """A parameter object from a JSON section; absent keys keep their defaults
+    and keys that are not fields are ignored."""
+    d = _object(d, section)
+    kwargs = {
+        f.name: _field_value(d[f.name], f.default, f"{section}.{f.name}")
+        for f in fields(cls)
+        if f.name in d
+    }
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"{section}: {exc}") from exc
+
+
 def scenario_to_dict(scn: Scenario) -> dict:
-    sys_p = scn.system
     d = {
         "schema_version": SCHEMA_VERSION,
         "name": scn.name,
-        "system": {
-            "e_ref": _phasor_to_dict(sys_p.e_ref),
-            "v_g_mag": sys_p.v_g_mag,
-            "z_g": _phasor_to_dict(sys_p.z_g),
-            "z_l": _phasor_to_dict(sys_p.z_l),
-            "z_tr": _phasor_to_dict(sys_p.z_tr),
-            "i_max": sys_p.i_max,
-            "i_th": sys_p.i_th,
-            "alpha_vi": sys_p.alpha_vi,
-        },
-        "apcl": {
-            "h": scn.apcl.h,
-            "d_p": scn.apcl.d_p,
-            "p0": scn.apcl.p0,
-            "omega_n": scn.apcl.omega_n,
-            "freq_clamp": scn.apcl.freq_clamp,
-        },
-        "limiter": {
-            "strategy": scn.limiter.strategy.value,
-            "k_vi": scn.limiter.k_vi,
-            "kp": scn.limiter.kp,
-            "ki": scn.limiter.ki,
-            "delta_v_max": scn.limiter.delta_v_max,
-        },
+        "system": _params_to_dict(scn.system),
+        "apcl": _params_to_dict(scn.apcl),
+        "limiter": _params_to_dict(scn.limiter),
         "events": [
             {"time": ev.time, "kind": ev.kind.value, "value": ev.value} for ev in scn.events
         ],
@@ -165,66 +193,6 @@ def _blinder_from_dict(d: dict, field: str) -> Blinder:
         raise ValidationError(f"{field}: {exc}") from exc
 
 
-def _system_from_dict(d: dict) -> SystemParams:
-    d = _object(d, "system")
-    defaults = SystemParams()
-    kwargs = {}
-    for key in ("v_g_mag", "i_max", "i_th"):
-        kwargs[key] = _float(d.get(key, getattr(defaults, key)), f"system.{key}")
-    alpha = d.get("alpha_vi", defaults.alpha_vi)
-    kwargs["alpha_vi"] = None if alpha is None else _float(alpha, "system.alpha_vi")
-    for key in ("e_ref", "z_g", "z_l", "z_tr"):
-        kwargs[key] = (
-            _phasor_from_value(d[key], f"system.{key}") if key in d else getattr(defaults, key)
-        )
-    try:
-        return SystemParams(**kwargs)
-    except ValueError as exc:
-        raise ValidationError(f"system: {exc}") from exc
-
-
-def _apcl_from_dict(d: dict) -> ApclParams:
-    d = _object(d, "apcl")
-    defaults = ApclParams()
-    kwargs = {
-        key: _float(d.get(key, getattr(defaults, key)), f"apcl.{key}")
-        for key in ("h", "d_p", "p0", "omega_n", "freq_clamp")
-    }
-    try:
-        return ApclParams(**kwargs)
-    except ValueError as exc:
-        raise ValidationError(f"apcl: {exc}") from exc
-
-
-def _limiter_from_dict(d: dict) -> LimiterConfig:
-    d = _object(d, "limiter")
-    if d.get("alpha_vi") is not None:
-        raise ValidationError(
-            "limiter.alpha_vi is not supported; set the virtual-impedance X/R ratio "
-            "as system.alpha_vi"
-        )
-    defaults = LimiterConfig()
-    strategy_raw = d.get("strategy", defaults.strategy.value)
-    try:
-        strategy = Strategy(strategy_raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"limiter.strategy: {strategy_raw!r} is not one of "
-            f"{[s.value for s in Strategy]}"
-        ) from exc
-    k_vi = d.get("k_vi", defaults.k_vi)
-    try:
-        return LimiterConfig(
-            strategy=strategy,
-            k_vi=None if k_vi is None else _float(k_vi, "limiter.k_vi"),
-            kp=_float(d.get("kp", defaults.kp), "limiter.kp"),
-            ki=_float(d.get("ki", defaults.ki), "limiter.ki"),
-            delta_v_max=_float(d.get("delta_v_max", defaults.delta_v_max), "limiter.delta_v_max"),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"limiter: {exc}") from exc
-
-
 def _events_from_list(items: list) -> tuple[Event, ...]:
     if not isinstance(items, list):
         raise ValidationError(f"events: expected a list, got {items!r}")
@@ -262,14 +230,17 @@ def _relay_from_dict(d: dict) -> RelaySettings:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"relay.zones: missing or malformed entry ({exc})") from exc
-    return RelaySettings(
-        zones=zones,
-        outer=_blinder_from_dict(d["outer"], "relay.outer") if "outer" in d else base.outer,
-        middle=_blinder_from_dict(d["middle"], "relay.middle") if "middle" in d else base.middle,
-        inner=_blinder_from_dict(d["inner"], "relay.inner") if "inner" in d else base.inner,
-        psb_cycles=_float(d.get("psb_cycles", base.psb_cycles), "relay.psb_cycles"),
-        f_nominal=_float(d.get("f_nominal", base.f_nominal), "relay.f_nominal"),
-    )
+    try:
+        return RelaySettings(
+            zones=zones,
+            outer=_blinder_from_dict(d["outer"], "relay.outer") if "outer" in d else base.outer,
+            middle=_blinder_from_dict(d["middle"], "relay.middle") if "middle" in d else base.middle,
+            inner=_blinder_from_dict(d["inner"], "relay.inner") if "inner" in d else base.inner,
+            psb_cycles=_float(d.get("psb_cycles", base.psb_cycles), "relay.psb_cycles"),
+            f_nominal=_float(d.get("f_nominal", base.f_nominal), "relay.f_nominal"),
+        )
+    except ValueError as exc:
+        raise ValidationError(f"relay: {exc}") from exc
 
 
 def scenario_from_dict(raw: dict, name_fallback: str = "scenario") -> Scenario:
@@ -287,14 +258,20 @@ def scenario_from_dict(raw: dict, name_fallback: str = "scenario") -> Scenario:
         )
         if relay is None:
             raise ValidationError(f"relay: cannot interpret {raw['relay']!r}")
+    limiter = raw.get("limiter", {})
+    if isinstance(limiter, dict) and limiter.get("alpha_vi") is not None:
+        raise ValidationError(
+            "limiter.alpha_vi is not supported; set the virtual-impedance X/R ratio "
+            "as system.alpha_vi"
+        )
     outputs = raw.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
         raise ValidationError(f"outputs: expected a directory name, got {outputs!r}")
     return Scenario(
         name=str(raw.get("name", name_fallback)),
-        system=_system_from_dict(raw.get("system", {})),
-        apcl=_apcl_from_dict(raw.get("apcl", {})),
-        limiter=_limiter_from_dict(raw.get("limiter", {})),
+        system=_params_from_dict(SystemParams, raw.get("system", {}), "system"),
+        apcl=_params_from_dict(ApclParams, raw.get("apcl", {}), "apcl"),
+        limiter=_params_from_dict(LimiterConfig, limiter, "limiter"),
         events=_events_from_list(raw.get("events", [])),
         horizon=_float(raw["horizon"], "horizon"),
         dt=_float(raw.get("dt", 5e-4), "dt"),

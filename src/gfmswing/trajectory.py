@@ -1,9 +1,12 @@
-"""Closed-form apparent-impedance trajectories over a full power-swing cycle.
+"""Apparent-impedance trajectories over a full power-swing cycle.
 
 The relay at the line's inverter-side terminal sees, as the power angle
 sweeps 0..2*pi, a straight line when no limiter acts, a non-circular curve
 under the variable virtual impedance, and a circular arc centred on the
-line-plus-grid impedance under the adaptive strategy.
+line-plus-grid impedance under the adaptive strategy. ``full_cycle`` reads
+every locus from the loop current of ``cycle_currents``; the closed forms
+``z_unlimited``, ``z_adaptive_vi`` and ``limited_current_angle`` hold for
+equal source magnitudes.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import GfmSwingError
-from .limiter import Strategy, activation_sets, solve_variable_vi_current, variable_vi_gain
+from .limiter import Strategy, solve_variable_vi_current, variable_vi_gain
 from .network import Phasor, SystemParams
 
 
@@ -81,14 +86,12 @@ def z_variable_vi(delta: float, params: SystemParams, gain: float | None = None)
     """Apparent impedance under the variable strategy at angle ``delta``.
 
     In the active set the current comes from the implicit solve; outside it
-    this equals the unlimited locus.
+    this is the unlimited loop's impedance.
     """
-    if gain is None:
-        gain = variable_vi_gain(params)
-    sets = activation_sets(params, Strategy.VARIABLE_VI)
-    if not sets.is_active(delta):
-        return z_unlimited(delta, params)
-    return solve_variable_vi_current(delta, params, gain)[2].z_apparent
+    v_far, current, _ = cycle_currents(Strategy.VARIABLE_VI, params, np.array([delta]), gain)
+    if current[0] == 0.0:
+        raise PoleAtZero(f"apparent impedance is unbounded at delta={delta!r}")
+    return Phasor(complex(params.z_relay_to_grid) + complex(v_far[0] / current[0]))
 
 
 def z_adaptive_vi(delta: float, params: SystemParams) -> Phasor:
@@ -104,6 +107,53 @@ def z_adaptive_vi(delta: float, params: SystemParams) -> Phasor:
     return Phasor(complex(params.z_relay_to_grid) + cmath.rect(radius, ang))
 
 
+def _cycle_grid(n: int) -> np.ndarray:
+    """Uniform grid of ``n`` power angles on the open interval (0, 2*pi)."""
+    if n < 3:
+        raise ValueError(f"a cycle grid needs at least 3 samples, got {n!r}")
+    return 2.0 * math.pi * np.arange(1, n + 1) / (n + 1)
+
+
+def cycle_currents(
+    strategy: Strategy,
+    params: SystemParams,
+    delta: np.ndarray,
+    gain: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Far-end source voltage, loop current and VI activity at each power angle.
+
+    The virtual impedance acts where the unlimited current
+    ``|E - V_far| / |z_sigma|`` exceeds the strategy's level: ``i_th`` for
+    the variable strategy, ``i_max`` for the adaptive one, never without
+    limiting. There the variable strategy takes the current of the implicit
+    solve (``gain`` defaults to the designed gain), and the adaptive strategy
+    holds ``|I| = i_max`` with its virtual impedance along ``1 + j*vi_ratio``.
+    """
+    delta = np.asarray(delta, dtype=float)
+    z_sigma = complex(params.z_sigma)
+    v_far = params.v_g_mag * np.exp(-1j * delta)
+    drive = complex(params.e_ref) - v_far
+    current = drive / z_sigma
+    level = {Strategy.VARIABLE_VI: params.i_th, Strategy.ADAPTIVE_VI: params.i_max}.get(strategy)
+    if level is None:
+        return v_far, current, np.zeros(delta.shape, dtype=bool)
+    active = np.abs(drive) > level * abs(z_sigma)
+    if strategy is Strategy.VARIABLE_VI:
+        if gain is None:
+            gain = variable_vi_gain(params)
+        for k in np.flatnonzero(active):
+            current[k] = solve_variable_vi_current(float(delta[k]), params, gain)[2].current
+    else:
+        # |z_sigma + r*(1 + j*alpha)| = |drive| / i_max, a quadratic a*r^2 + b*r + c = 0
+        alpha = params.vi_ratio
+        a = 1.0 + alpha * alpha
+        b = 2.0 * (z_sigma.real + alpha * z_sigma.imag)
+        c = abs(z_sigma) ** 2 - (np.abs(drive[active]) / params.i_max) ** 2
+        r = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
+        current[active] = drive[active] / (z_sigma + r * complex(1.0, alpha))
+    return v_far, current, active
+
+
 def full_cycle(
     strategy: Strategy,
     params: SystemParams,
@@ -113,25 +163,15 @@ def full_cycle(
     """Sample the full-cycle trajectory on a uniform grid over (0, 2*pi).
 
     The grid excludes the endpoints, where the unlimited locus is at
-    infinity. Each sample is dispatched to the segment formula selected by
-    the strategy's activation set.
+    infinity. Each impedance is the relay's reading of the loop current
+    from ``cycle_currents``.
     """
-    if n_samples < 3:
-        raise ValueError("n_samples must be at least 3")
-    sets = activation_sets(params, strategy)
-    if strategy is Strategy.VARIABLE_VI and gain is None:
-        gain = variable_vi_gain(params)
-    samples: list[TrajectorySample] = []
-    step = 2.0 * math.pi / (n_samples + 1)
-    for k in range(1, n_samples + 1):
-        delta = k * step
-        if not sets.is_active(delta):
-            samples.append(TrajectorySample(delta, z_unlimited(delta, params), Segment.INACTIVE))
-        elif strategy is Strategy.VARIABLE_VI:
-            z = solve_variable_vi_current(delta, params, gain)[2].z_apparent
-            samples.append(TrajectorySample(delta, z, Segment.ACTIVE_VARIABLE))
-        else:
-            samples.append(
-                TrajectorySample(delta, z_adaptive_vi(delta, params), Segment.ACTIVE_ADAPTIVE)
-            )
-    return samples
+    delta = _cycle_grid(n_samples)
+    v_far, current, active = cycle_currents(strategy, params, delta, gain)
+    z_app = complex(params.z_relay_to_grid) + v_far / current
+    adaptive = strategy is Strategy.ADAPTIVE_VI
+    limited = Segment.ACTIVE_ADAPTIVE if adaptive else Segment.ACTIVE_VARIABLE
+    return [
+        TrajectorySample(d, Phasor(z), limited if on else Segment.INACTIVE)
+        for d, z, on in zip(delta.tolist(), z_app.tolist(), active.tolist())
+    ]

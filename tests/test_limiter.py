@@ -16,9 +16,9 @@ from gfmswing import (
     Strategy,
     SystemParams,
     Unreachable,
-    activation_sets,
     adaptive_vi_step,
     critical_angle,
+    cycle_currents,
     solve_faulted,
     solve_limited_current,
     solve_variable_vi_current,
@@ -281,29 +281,26 @@ def test_critical_angle_extremes():
     params = SystemParams()
     z = abs(params.z_sigma)
     assert critical_angle(params, 2.0 / z) == pytest.approx(math.pi)
-    with pytest.raises(AlwaysExceeded):
+    # the current peaks at 2/|z_sigma| (about 1.9 pu), so 10 pu is never reached
+    with pytest.raises(Unreachable):
         critical_angle(params, 10.0)
     # with unequal source magnitudes the current never drops to zero, so
-    # sufficiently low levels are never reached
+    # sufficiently low levels are exceeded at every angle
     lopsided = SystemParams(v_g_mag=0.5)
     assert abs(complex(lopsided.e_ref)) - 0.5 > 0.1 * z
-    with pytest.raises(Unreachable):
+    with pytest.raises(AlwaysExceeded):
         critical_angle(lopsided, 0.1)
 
 
 def test_activation_sets():
     params = SystemParams()
-    var_sets = activation_sets(params, Strategy.VARIABLE_VI)
-    ad_sets = activation_sets(params, Strategy.ADAPTIVE_VI)
-    none_sets = activation_sets(params, Strategy.NONE)
-    assert math.degrees(var_sets.boundary) == pytest.approx(63.98, abs=0.01)
-    assert math.degrees(ad_sets.boundary) == pytest.approx(78.95, abs=0.01)
-    assert none_sets.boundary is None
-    for sets in (var_sets, ad_sets):
-        assert sets.is_active(math.pi)
-        assert not sets.is_active(sets.boundary)  # closed inactive set
-        assert not sets.is_active(0.1)
-        assert not sets.is_active(2 * math.pi - 0.1)
-    assert not none_sets.is_active(math.pi)
-    lohi = var_sets.active_interval
-    assert lohi == (var_sets.boundary, 2 * math.pi - var_sets.boundary)
+    delta_th = critical_angle(params, params.i_th)
+    delta_lim = critical_angle(params, params.i_max)
+    assert math.degrees(delta_th) == pytest.approx(63.98, abs=0.01)
+    assert math.degrees(delta_lim) == pytest.approx(78.95, abs=0.01)
+    for strategy, boundary in ((Strategy.VARIABLE_VI, delta_th), (Strategy.ADAPTIVE_VI, delta_lim)):
+        probes = [math.pi, 0.1, 2 * math.pi - 0.1, boundary - 1e-9, boundary + 1e-9]
+        _, _, active = cycle_currents(strategy, params, np.array(probes))
+        assert active.tolist() == [True, False, False, False, True]
+    _, _, active = cycle_currents(Strategy.NONE, params, np.linspace(0.1, 2 * math.pi - 0.1, 50))
+    assert not active.any()

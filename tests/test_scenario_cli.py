@@ -12,6 +12,9 @@ from gfmswing import (
     EventKind,
     LimiterConfig,
     ParseError,
+    Phasor,
+    RelaySettings,
+    MhoZone,
     Segment,
     Strategy,
     SystemParams,
@@ -255,6 +258,9 @@ BAD_SCENARIOS = {
     "numeric-outputs": '{"horizon": 1.0, "outputs": 5}',
     "huge-horizon": '{"horizon": 1e15}',
     "fault-beyond-line": '{"horizon": 1.0, "events": [{"time": 0.5, "kind": "fault_apply", "value": 1.5}]}',
+    "zero-f_nominal": '{"horizon": 1.0, "relay": {"f_nominal": 0}}',
+    "negative-psb_cycles": '{"horizon": 1.0, "relay": {"psb_cycles": -1}}',
+    "off-axis-e_ref": '{"horizon": 1.0, "system": {"e_ref": {"mag": 1.0, "angle_deg": 10}}}',
 }
 
 
@@ -291,13 +297,18 @@ NAN = float("nan")
         lambda: ApclParams(d_p=float("inf")),
         lambda: SystemParams(v_g_mag=NAN),
         lambda: SystemParams(i_max=float("inf")),
+        lambda: SystemParams(e_ref=Phasor.from_polar_deg(1.0, 10.0)),
+        lambda: SystemParams(e_ref=Phasor(0.0, 0.0)),
         lambda: LimiterConfig(kp=NAN),
         lambda: LimiterConfig(k_vi=NAN),
         lambda: replace(build_case("caseA1"), dt=NAN),
         lambda: replace(build_case("caseA1"), horizon=float("inf")),
         lambda: replace(build_case("caseA1"), events=(Event(NAN, EventKind.PHASE_JUMP, -1.0),)),
     ],
-    ids=["apcl-h", "apcl-d_p", "v_g_mag", "i_max", "kp", "k_vi", "dt", "horizon", "event-time"],
+    ids=[
+        "apcl-h", "apcl-d_p", "v_g_mag", "i_max", "e_ref-off-axis", "e_ref-zero",
+        "kp", "k_vi", "dt", "horizon", "event-time",
+    ],
 )
 def test_constructors_reject_non_finite(build):
     with pytest.raises((ValueError, ValidationError)):
@@ -334,6 +345,40 @@ def test_cli_trajectory_and_pdelta_honour_k_vi(tmp_path):
     p_variable = [float(r["p_variable"]) for r in pdelta]
     assert p_variable == list(p_delta_curve(Strategy.VARIABLE_VI, scn.system, n=n, gain=5.0).p)
     assert p_variable != list(p_delta_curve(Strategy.VARIABLE_VI, scn.system, n=n).p)
+
+
+def test_cli_trajectory_and_pdelta_without_limiter_engagement(tmp_path):
+    # the unlimited current peaks at 1.89 pu, below both levels
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps({"horizon": 1.0, "system": {"i_th": 2.0, "i_max": 2.2}}))
+    for command in ("trajectory", "pdelta"):
+        argv = [command, "--scenario", str(path), "--samples", "199", "--out", str(tmp_path / command)]
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / command / "summary.json").read_text())
+        assert summary["boundaries"] == {"delta_th": None, "delta_lim": None}
+    for strategy in ("variable", "adaptive"):
+        argv = ["trajectory", "--scenario", str(path), "--strategy", strategy, "--out", str(tmp_path / strategy)]
+        assert main(argv) == 0
+        rows = csv.DictReader((tmp_path / strategy / "trajectory.csv").read_text().splitlines())
+        assert {row["segment"] for row in rows} == {Segment.INACTIVE.value}
+    rows = list(csv.DictReader((tmp_path / "pdelta" / "pdelta.csv").read_text().splitlines()))
+    assert len(rows) == 199
+    assert all(row["variable_active"] == row["adaptive_active"] == "0" for row in rows)
+    assert all(row["p_variable"] == row["p_adaptive"] == row["p_none"] for row in rows)
+
+
+def test_cli_simulate_four_zone_relay(tmp_path):
+    table1 = RelaySettings.table1()
+    zone4 = MhoZone(Phasor.from_polar_deg(1.5, 84.29), 0.05)
+    path = _write_fast_scenario(
+        tmp_path,
+        events=(Event(0.1, EventKind.FAULT_APPLY, 0.5), Event(0.2, EventKind.FAULT_CLEAR)),
+        relay=replace(table1, zones=(*table1.zones, zone4)),
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    events = list(csv.reader((out / "relay_events.csv").read_text().splitlines()))[1:]
+    assert [event for _, event, element in events if element == "zone4"] == ["enter", "trip", "exit"]
 
 
 def test_cli_case_and_strategy_flags(tmp_path):

@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 from gfmswing import (
+    Phasor,
     Segment,
     Strategy,
     SystemParams,
     critical_angle,
+    cycle_currents,
     full_cycle,
     limited_current_angle,
     line_distance,
+    p_delta_curve,
+    solve_network,
     solve_variable_vi_current,
     z_adaptive_vi,
     z_unlimited,
@@ -203,3 +207,57 @@ def test_variable_trajectory_is_neither_line_nor_circle():
     circle_dev = np.max(np.abs(np.abs(pts - center) - radius))
     assert line_dev > 1e-3
     assert circle_dev > 1e-3
+
+
+OFF_DEFAULT = {
+    "v_g_mag": SystemParams(v_g_mag=0.9),
+    "e_ref": SystemParams(e_ref=Phasor(1.05, 0.0)),
+    "alpha_vi": SystemParams(alpha_vi=3.0),
+}
+
+
+def ceiling_current(delta, params):
+    """Oracle: bisect for the VI resistance along 1 + j*vi_ratio that holds |I| at i_max."""
+    z_sigma, step = complex(params.z_sigma), complex(1.0, params.vi_ratio)
+    drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta)
+    lo, hi = 0.0, (abs(drive) / params.i_max + abs(z_sigma)) / abs(step)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if abs(z_sigma + mid * step) * params.i_max < abs(drive):
+            lo = mid
+        else:
+            hi = mid
+    return drive / (z_sigma + lo * step)
+
+
+@pytest.mark.parametrize("params", OFF_DEFAULT.values(), ids=OFF_DEFAULT.keys())
+def test_loci_follow_the_loop_off_the_default_system(params):
+    z_rg = complex(params.z_relay_to_grid)
+    for strategy in Strategy:
+        for s in full_cycle(strategy, params, n_samples=499):
+            z = complex(s.z_app)
+            if s.segment is Segment.INACTIVE:
+                ref = complex(solve_network(s.delta, 0.0, params).z_apparent)
+                assert abs(z - ref) <= 1e-9 * max(1.0, abs(ref))
+            elif s.segment is Segment.ACTIVE_VARIABLE:
+                ref = complex(solve_variable_vi_current(s.delta, params)[2].z_apparent)
+                assert abs(z - ref) <= 1e-12 * max(1.0, abs(ref))
+            else:
+                current = params.v_g_mag * cmath.exp(-1j * s.delta) / (z - z_rg)
+                assert abs(current - ceiling_current(s.delta, params)) < 1e-9
+
+
+@pytest.mark.parametrize("params", OFF_DEFAULT.values(), ids=OFF_DEFAULT.keys())
+def test_adaptive_current_holds_the_ceiling_off_the_default_system(params):
+    curve = p_delta_curve(Strategy.ADAPTIVE_VI, params, n=499)
+    v_far, current, active = cycle_currents(Strategy.ADAPTIVE_VI, params, curve.delta)
+    assert active.any() and np.array_equal(active, curve.vi_active)
+    drive = complex(params.e_ref) - v_far[active]
+    assert np.max(np.abs(np.abs(current[active]) - params.i_max)) < 1e-12
+    z_vi = drive / current[active] - complex(params.z_sigma)
+    assert np.max(np.abs(z_vi.imag - params.vi_ratio * z_vi.real)) < 1e-12
+    assert np.all(z_vi.real > 0.0)
+    for delta, p in zip(curve.delta[active], curve.p[active]):
+        oracle = ceiling_current(float(delta), params)
+        v_pcc = params.v_g_mag * cmath.exp(-1j * delta) + complex(params.z_sigma) * oracle
+        assert p == pytest.approx((v_pcc * oracle.conjugate()).real, abs=1e-9)
