@@ -1,17 +1,15 @@
 """Phasor-domain power-swing simulator for a grid-forming inverter under
 virtual-impedance current limiting, with distance-relay swing detection."""
 
-from .analysis import Classification, PDeltaCurve, StabilityVerdict, classify_stability, p_delta_curve, phase_portrait
+from .analysis import Classification, PDeltaCurve, StabilityVerdict, classify_stability, p_delta_curve
 from .dynamics import (
     ApclParams,
     Event,
     EventKind,
-    SimState,
     SimulationRecord,
     electrical_power,
     initial_state,
     run_scenario,
-    step,
     swing_derivatives,
 )
 from .errors import (
@@ -37,7 +35,6 @@ from .limiter import (
     variable_vi_gain,
     vi_from_current,
     vi_gain_from_drop,
-    vi_reference_update,
 )
 from .network import (
     NetworkSolution,

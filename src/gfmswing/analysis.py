@@ -1,4 +1,4 @@
-"""Stability analytics: power-angle curves, phase portraits, verdicts."""
+"""Stability analytics: power-angle curves and verdicts."""
 
 from __future__ import annotations
 
@@ -78,7 +78,3 @@ def classify_stability(record: SimulationRecord, min_post_event: float = 20.0) -
     verdict = Classification.UNSTABLE if slips >= 1 else Classification.STABLE
     return StabilityVerdict(verdict, excursion, slips)
 
-
-def phase_portrait(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
-    """(power angle, frequency deviation) series of a record."""
-    return record.delta.copy(), record.omega_dev.copy()

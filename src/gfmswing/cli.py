@@ -53,9 +53,11 @@ def _samples(args) -> int:
 
 
 def _out_dir(args, scn: Scenario) -> Path:
-    out = args.out or scn.outputs or f"out/{scn.name}"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or scn.outputs or f"out/{scn.name}")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file in the way, a bad name, no permission
+        raise ValidationError(f"output directory {str(path)!r}: {exc}") from exc
     return path
 
 

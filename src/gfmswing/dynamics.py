@@ -11,7 +11,7 @@ setpoint steps; the frequency deviation is hard-clamped after every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -106,25 +106,6 @@ def validate_events(events) -> tuple[Event, ...]:
     return events
 
 
-@dataclass(frozen=True)
-class SimState:
-    """Instantaneous simulation state.
-
-    ``delta`` is kept unwrapped so pole slips accumulate; ``p0`` is the live
-    setpoint (power steps modify it); ``next_event`` is the position in the
-    event schedule; ``adaptive`` is the adaptive strategy's PI state.
-    """
-
-    delta: float
-    omega_dev: float
-    t: float = 0.0
-    p0: float = 0.0
-    faulted: bool = False
-    fault_fraction: float = 0.5
-    next_event: int = 0
-    adaptive: AdaptiveState = AdaptiveState()
-
-
 @dataclass
 class SimulationRecord:
     """Uniformly sampled simulation channels plus relay outputs."""
@@ -148,10 +129,12 @@ class SimulationRecord:
         return len(self.t)
 
 
-def swing_derivatives(state: SimState, p_e: float, params: ApclParams) -> tuple[float, float]:
-    """Rates of the frequency deviation and of the power angle."""
-    d_omega = (state.p0 - p_e - state.omega_dev / params.d_p) / (2.0 * params.h)
-    d_delta = params.omega_n * state.omega_dev
+def swing_derivatives(
+    omega_dev: float, p0: float, p_e: float, apcl: ApclParams
+) -> tuple[float, float]:
+    """Rates of the frequency deviation and of the power angle: the swing equation."""
+    d_omega = (p0 - p_e - omega_dev * (1.0 / apcl.d_p)) * (1.0 / (2.0 * apcl.h))
+    d_delta = apcl.omega_n * omega_dev
     return d_omega, d_delta
 
 
@@ -186,110 +169,15 @@ def electrical_power(
     return active_power(sol), sol, vi
 
 
-def _apply_events(state: SimState, dt: float, events: tuple[Event, ...]) -> SimState:
-    delta, p0 = state.delta, state.p0
-    faulted, frac = state.faulted, state.fault_fraction
-    idx = state.next_event
-    while idx < len(events) and events[idx].time <= state.t + 0.5 * dt:
-        ev = events[idx]
-        if ev.kind is EventKind.PHASE_JUMP:
-            delta += ev.value
-        elif ev.kind is EventKind.FAULT_APPLY:
-            faulted = True
-            if ev.value is not None:
-                frac = ev.value
-        elif ev.kind is EventKind.FAULT_CLEAR:
-            faulted = False
-        elif ev.kind is EventKind.POWER_STEP:
-            p0 += ev.value
-        idx += 1
-    if idx == state.next_event:
-        return state
-    return replace(
-        state, delta=delta, p0=p0, faulted=faulted, fault_fraction=frac, next_event=idx
-    )
+def initial_state(system: SystemParams, apcl: ApclParams, cfg: LimiterConfig) -> float:
+    """Equilibrium power angle, where the strategy-consistent power equals ``apcl.p0``.
 
-
-def _advance(
-    state: SimState,
-    dt: float,
-    system: SystemParams,
-    apcl: ApclParams,
-    cfg: LimiterConfig,
-    events: tuple[Event, ...] = (),
-) -> tuple[SimState, NetworkSolution, float, ViValue]:
-    """One macro step; returns the new state plus its end-of-step solution.
-
-    The VI gain is resolved once, from the PI state at the start of the
-    step. The frequency deviation is clamped after the step and the adaptive
-    PI advances once, seeing the end-of-step current magnitude. The returned
-    solution/power/VI are the end-of-step sample (computed just before the
-    PI update, which only takes effect on the next step).
+    The frequency deviation starts at zero and the adaptive strategy's PI
+    state at rest. Scans the rising branch of the power curve and bisects
+    the bracketing interval. Raises ``ValidationError`` when the setpoint
+    exceeds what the curve can deliver.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    state = _apply_events(state, dt, events)
-    gain = _limiter_gain(cfg, state.adaptive, system)
-    faulted, frac = state.faulted, state.fault_fraction
-    p0 = state.p0
-    inv_2h = 1.0 / (2.0 * apcl.h)
-    inv_dp = 1.0 / apcl.d_p
-    omega_n = apcl.omega_n
-
-    def p_of(d: float) -> float:
-        return electrical_power(d, gain, system, faulted=faulted, fault_fraction=frac)[0]
-
-    d0, w0 = state.delta, state.omega_dev
-
-    k1d = omega_n * w0
-    k1w = (p0 - p_of(d0) - w0 * inv_dp) * inv_2h
-    k2d = omega_n * (w0 + 0.5 * dt * k1w)
-    k2w = (p0 - p_of(d0 + 0.5 * dt * k1d) - (w0 + 0.5 * dt * k1w) * inv_dp) * inv_2h
-    k3d = omega_n * (w0 + 0.5 * dt * k2w)
-    k3w = (p0 - p_of(d0 + 0.5 * dt * k2d) - (w0 + 0.5 * dt * k2w) * inv_dp) * inv_2h
-    k4d = omega_n * (w0 + dt * k3w)
-    k4w = (p0 - p_of(d0 + dt * k3d) - (w0 + dt * k3w) * inv_dp) * inv_2h
-
-    delta_new = d0 + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-    omega_new = w0 + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    clamp = apcl.freq_clamp
-    if omega_new > clamp:
-        omega_new = clamp
-    elif omega_new < -clamp:
-        omega_new = -clamp
-
-    p_end, sol_end, vi_end = electrical_power(
-        delta_new, gain, system, faulted=faulted, fault_fraction=frac
-    )
-    adaptive = state.adaptive
-    if cfg.strategy is Strategy.ADAPTIVE_VI:
-        adaptive = adaptive_vi_step(adaptive, abs(sol_end.current), dt, cfg, system.i_max)
-
-    new_state = replace(
-        state, delta=delta_new, omega_dev=omega_new, t=state.t + dt, adaptive=adaptive
-    )
-    return new_state, sol_end, p_end, vi_end
-
-
-def step(
-    state: SimState,
-    dt: float,
-    system: SystemParams,
-    apcl: ApclParams,
-    cfg: LimiterConfig,
-    events: tuple[Event, ...] = (),
-) -> SimState:
-    """Advance the simulation by one fixed step (events, RK4, clamp, PI update)."""
-    return _advance(state, dt, system, apcl, cfg, events)[0]
-
-
-def equilibrium_angle(p0: float, system: SystemParams, cfg: LimiterConfig) -> float:
-    """Power angle at which the strategy-consistent electrical power equals ``p0``.
-
-    The adaptive strategy's PI state starts at rest. Scans the rising branch
-    of the power curve and bisects the bracketing interval. Raises
-    ``ValidationError`` when the setpoint exceeds what the curve can deliver.
-    """
+    p0 = apcl.p0
     if p0 <= 0.0:
         raise ValidationError("initial power setpoint must be positive")
     gain = _limiter_gain(cfg, AdaptiveState(), system)
@@ -298,22 +186,17 @@ def equilibrium_angle(p0: float, system: SystemParams, cfg: LimiterConfig) -> fl
         return electrical_power(d, gain, system)[0]
 
     n_scan = 720
-    lo = 0.0
-    hi = None
-    prev_d, prev_p = 0.0, 0.0
+    lo = p_lo = 0.0
     for k in range(1, n_scan + 1):
-        d = math.pi * k / n_scan
-        p = p_of(d)
-        if p >= p0:
-            lo, hi = prev_d, d
+        hi = math.pi * k / n_scan
+        p_hi = p_of(hi)
+        if p_hi >= p0:
             break
-        if p < prev_p:
-            break
-        prev_d, prev_p = d, p
-    if hi is None:
-        raise ValidationError(
-            f"setpoint p0={p0!r} exceeds the deliverable power of the configured strategy"
-        )
+        if p_hi < p_lo or k == n_scan:  # past the peak, or the scan is exhausted
+            raise ValidationError(
+                f"setpoint p0={p0!r} exceeds the deliverable power of the configured strategy"
+            )
+        lo, p_lo = hi, p_hi
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if p_of(mid) < p0:
@@ -323,63 +206,77 @@ def equilibrium_angle(p0: float, system: SystemParams, cfg: LimiterConfig) -> fl
     return 0.5 * (lo + hi)
 
 
-def initial_state(system: SystemParams, apcl: ApclParams, cfg: LimiterConfig) -> SimState:
-    """Steady pre-disturbance state: equilibrium angle, zero frequency deviation."""
-    delta0 = equilibrium_angle(apcl.p0, system, cfg)
-    return SimState(delta=delta0, omega_dev=0.0, t=0.0, p0=apcl.p0)
-
-
 def run_scenario(scenario) -> SimulationRecord:
     """Integrate a scenario from t=0 to its horizon, then let the relay observe it.
 
-    ``scenario`` provides system/apcl/limiter parameters, an event list, a
-    horizon, a step size and relay settings (or ``None``). The relay never
-    acts back on the swing, so it walks the recorded apparent-impedance
-    stream after the integration; an undefined impedance is recorded as NaN
+    Each step applies the due events, resolves the VI gain once from the
+    adaptive PI state, takes one RK4 step of the swing, clamps the frequency
+    deviation and records the end-of-step sample, on whose current the PI
+    then advances. The relay never acts back on the swing, so it walks the
+    recorded impedance afterwards; an undefined impedance is recorded as NaN
     and lies outside every characteristic.
     """
-    system: SystemParams = scenario.system
-    apcl: ApclParams = scenario.apcl
-    cfg: LimiterConfig = scenario.limiter
+    system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
     events = validate_events(scenario.events)
     dt = scenario.dt
-    n_steps = int(round(scenario.horizon / dt))
+    n = int(round(scenario.horizon / dt)) + 1
+    adaptive_pi = cfg.strategy is Strategy.ADAPTIVE_VI
+    clamp = apcl.freq_clamp
 
-    state = initial_state(system, apcl, cfg)
-
-    n = n_steps + 1
-    t_arr = np.empty(n)
-    delta_arr = np.empty(n)
-    omega_arr = np.empty(n)
-    imag_arr = np.empty(n)
-    zre_arr = np.empty(n)
-    zim_arr = np.empty(n)
-    pe_arr = np.empty(n)
-    vir_arr = np.empty(n)
-    vix_arr = np.empty(n)
+    t_arr, delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (
+        np.empty(n) for _ in range(9)
+    )
     psb_arr = np.zeros(n, dtype=bool)
     ost_arr = np.zeros(n, dtype=bool)
 
-    def record(k: int, st: SimState, sol: NetworkSolution, p_e: float, vi: ViValue):
-        t_arr[k] = st.t
-        delta_arr[k] = st.delta
-        omega_arr[k] = st.omega_dev
+    delta = initial_state(system, apcl, cfg)
+    omega, t, p0 = 0.0, 0.0, apcl.p0
+    faulted, frac, next_event = False, 0.5, 0
+    adaptive = AdaptiveState()
+
+    def rates(d: float, w: float) -> tuple[float, float]:
+        p_e = electrical_power(d, gain, system, faulted, frac)[0]
+        return swing_derivatives(w, p0, p_e, apcl)
+
+    for k in range(n):
+        gain = _limiter_gain(cfg, adaptive, system)
+        if k:
+            while next_event < len(events) and events[next_event].time <= t + 0.5 * dt:
+                ev = events[next_event]
+                next_event += 1
+                if ev.kind is EventKind.PHASE_JUMP:
+                    delta += ev.value
+                elif ev.kind is EventKind.FAULT_APPLY:
+                    faulted = True
+                    if ev.value is not None:
+                        frac = ev.value
+                elif ev.kind is EventKind.FAULT_CLEAR:
+                    faulted = False
+                else:
+                    p0 += ev.value
+            k1w, k1d = rates(delta, omega)
+            k2w, k2d = rates(delta + 0.5 * dt * k1d, omega + 0.5 * dt * k1w)
+            k3w, k3d = rates(delta + 0.5 * dt * k2d, omega + 0.5 * dt * k2w)
+            k4w, k4d = rates(delta + dt * k3d, omega + dt * k3w)
+            delta += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            omega += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            omega = min(max(omega, -clamp), clamp)
+            t += dt
+            if not math.isfinite(delta + omega):
+                raise ValidationError(f"the swing diverged at t={t!r} s; dt={dt!r} is too coarse")
+
+        p_e, sol, vi = electrical_power(delta, gain, system, faulted, frac)
+        t_arr[k] = t
+        delta_arr[k] = delta
+        omega_arr[k] = omega
         imag_arr[k] = abs(sol.current)
-        if sol.z_apparent is None:
-            zre_arr[k] = math.nan
-            zim_arr[k] = math.nan
-        else:
-            zre_arr[k] = sol.z_apparent.real
-            zim_arr[k] = sol.z_apparent.imag
+        z = sol.z_apparent
+        zre_arr[k], zim_arr[k] = (math.nan, math.nan) if z is None else (z.real, z.imag)
         pe_arr[k] = p_e
         vir_arr[k] = vi.r_vi
         vix_arr[k] = vi.x_vi
-
-    p_e0, sol0, vi0 = electrical_power(state.delta, _limiter_gain(cfg, state.adaptive, system), system)
-    record(0, state, sol0, p_e0, vi0)
-    for k in range(1, n):
-        state, sol, p_e, vi = _advance(state, dt, system, apcl, cfg, events)
-        record(k, state, sol, p_e, vi)
+        if k and adaptive_pi:
+            adaptive = adaptive_vi_step(adaptive, abs(sol.current), dt, cfg, system.i_max)
 
     relay_events = ()
     if scenario.relay is not None:

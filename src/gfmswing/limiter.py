@@ -115,12 +115,6 @@ def vi_drop(vi: ViValue, i_dq: complex) -> Phasor:
     return Phasor(v_d, v_q)
 
 
-def vi_reference_update(vi: ViValue, i_dq: complex, e_ref: complex) -> Phasor:
-    """Voltage reference handed to the voltage loop: setpoint minus the VI drop."""
-    drop = vi_drop(vi, i_dq)
-    return Phasor(e_ref.real - drop.real, e_ref.imag - drop.imag)
-
-
 def solve_limited_current(
     drive: complex,
     z_ext: complex,

@@ -17,14 +17,14 @@ from functools import cached_property
 from .errors import DegenerateCircuit
 
 ZERO_CURRENT_TOL = 1e-12
+_PU_RANGE = (1e-6, 1e6)  # every source, impedance and current magnitude, per unit
 
 
 class Phasor(complex):
-    """Complex per-unit quantity with polar accessors.
+    """Complex per-unit quantity with polar constructors and an angle accessor.
 
     Arithmetic behaves exactly like ``complex`` (results degrade to plain
-    ``complex``); wrap results in ``Phasor(...)`` where the named accessors
-    matter.
+    ``complex``); wrap results in ``Phasor(...)`` where ``ang`` matters.
     """
 
     __slots__ = ()
@@ -38,18 +38,6 @@ class Phasor(complex):
         return cls.from_polar(mag, math.radians(deg))
 
     @property
-    def re(self) -> float:
-        return self.real
-
-    @property
-    def im(self) -> float:
-        return self.imag
-
-    @property
-    def mag(self) -> float:
-        return abs(self)
-
-    @property
     def ang(self) -> float:
         """Angle in (-pi, pi]."""
         a = math.atan2(self.imag, self.real)
@@ -57,16 +45,6 @@ class Phasor(complex):
 
     def __repr__(self) -> str:
         return f"Phasor({self.real!r}, {self.imag!r})"
-
-
-def wrap_angle(angle: float) -> float:
-    """Normalize an angle to (-pi, pi]."""
-    a = math.fmod(angle, 2.0 * math.pi)
-    if a > math.pi:
-        a -= 2.0 * math.pi
-    elif a <= -math.pi:
-        a += 2.0 * math.pi
-    return a
 
 
 @dataclass(frozen=True)
@@ -79,7 +57,8 @@ class SystemParams:
 
     ``alpha_vi`` is the reactance-to-resistance ratio of the virtual
     impedance; ``None`` selects the angle of the total series impedance.
-    The derived impedances and ratio are computed once per instance.
+    Every source, impedance and current magnitude must lie in [1e-6, 1e6]
+    pu. The derived impedances and ratio are computed once per instance.
     """
 
     e_ref: Phasor = Phasor(1.0, 0.0)
@@ -92,18 +71,27 @@ class SystemParams:
     alpha_vi: float | None = None
 
     def __post_init__(self):
-        problems = []
-        for name in ("z_g", "z_l", "z_tr"):
-            if not 0.0 < abs(getattr(self, name)) < math.inf:
-                problems.append(f"{name} must have a nonzero finite magnitude")
-        if not (0.0 < self.e_ref.real < math.inf and self.e_ref.imag == 0.0):
-            problems.append("e_ref must be real, positive and finite (reference angle zero)")
-        if not math.inf > self.i_max > self.i_th > 0.0:
-            problems.append("require i_max > i_th > 0, both finite")
+        lo, hi = _PU_RANGE
+        magnitudes = {
+            "|e_ref|": math.hypot(self.e_ref.real, self.e_ref.imag),
+            "v_g_mag": self.v_g_mag,
+            "|z_g|": math.hypot(self.z_g.real, self.z_g.imag),
+            "|z_l|": math.hypot(self.z_l.real, self.z_l.imag),
+            "|z_tr|": math.hypot(self.z_tr.real, self.z_tr.imag),
+            "i_th": self.i_th,
+            "i_max": self.i_max,
+        }
+        problems = [
+            f"{name} = {value!r} pu lies outside [{lo:g}, {hi:g}] pu"
+            for name, value in magnitudes.items()
+            if not lo <= value <= hi
+        ]
+        if not (self.e_ref.real > 0.0 and self.e_ref.imag == 0.0):
+            problems.append("e_ref must be real and positive (reference angle zero)")
+        if not self.i_max > self.i_th:
+            problems.append("require i_max > i_th")
         if self.alpha_vi is not None and not 0.0 <= self.alpha_vi < math.inf:
             problems.append("alpha_vi must be >= 0 and finite")
-        if not 0.0 < self.v_g_mag < math.inf:
-            problems.append("v_g_mag must be positive and finite")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -137,7 +125,6 @@ class NetworkSolution:
     v_pcc: Phasor
     v_relay: Phasor
     z_apparent: Phasor | None
-    zero_current: bool = False
 
 
 def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkSolution:
@@ -154,11 +141,8 @@ def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkS
     current = (complex(params.e_ref) - v_far) / z_total
     v_pcc = v_far + complex(params.z_sigma) * current
     v_relay = v_far + complex(params.z_relay_to_grid) * current
-    if abs(current) < ZERO_CURRENT_TOL:
-        return NetworkSolution(Phasor(current), Phasor(v_pcc), Phasor(v_relay), None, True)
-    return NetworkSolution(
-        Phasor(current), Phasor(v_pcc), Phasor(v_relay), Phasor(v_relay / current), False
-    )
+    z_apparent = None if abs(current) < ZERO_CURRENT_TOL else Phasor(v_relay / current)
+    return NetworkSolution(Phasor(current), Phasor(v_pcc), Phasor(v_relay), z_apparent)
 
 
 def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) -> NetworkSolution:
@@ -178,11 +162,8 @@ def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) ->
     current = complex(params.e_ref) / z_total
     v_pcc = current * z_path
     v_relay = current * (fraction * complex(params.z_l))
-    if abs(current) < ZERO_CURRENT_TOL:
-        return NetworkSolution(Phasor(current), Phasor(v_pcc), Phasor(v_relay), None, True)
-    return NetworkSolution(
-        Phasor(current), Phasor(v_pcc), Phasor(v_relay), Phasor(v_relay / current), False
-    )
+    z_apparent = None if abs(current) < ZERO_CURRENT_TOL else Phasor(v_relay / current)
+    return NetworkSolution(Phasor(current), Phasor(v_pcc), Phasor(v_relay), z_apparent)
 
 
 def active_power(sol: NetworkSolution) -> float:

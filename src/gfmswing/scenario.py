@@ -66,6 +66,8 @@ def _float(value, field: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{field}: expected a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ValidationError(f"{field}: expected a finite number, got {value!r}")
     return number
@@ -283,19 +285,22 @@ def scenario_from_dict(raw: dict, name_fallback: str = "scenario") -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     """Load and fully validate a scenario file.
 
-    Raises ``ParseError`` for unreadable JSON (with line/column) and
-    ``ValidationError`` for structurally valid JSON that violates the
-    schema or any invariant.
+    Raises ``ParseError`` for an unreadable file, text that is not UTF-8,
+    malformed JSON (with line/column), JSON nested too deep to decode and
+    integers too long to convert, and ``ValidationError`` for structurally
+    valid JSON that violates the schema or any invariant.
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(raw, name_fallback=path.stem)
 
 

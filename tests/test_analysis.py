@@ -16,7 +16,6 @@ from gfmswing import (
     classify_stability,
     critical_angle,
     p_delta_curve,
-    phase_portrait,
     run_scenario,
 )
 from gfmswing.cases import build_case
@@ -123,7 +122,7 @@ def test_classification_invariant_to_rate_halving(record_a1):
 
 
 def test_phase_portrait_clamped(record_a1):
-    delta, omega = phase_portrait(record_a1)
+    delta, omega = record_a1.delta, record_a1.omega_dev
     assert len(delta) == len(omega) == len(record_a1.t)
     assert np.abs(omega).max() <= 0.01 + 1e-15
     assert np.abs(omega).max() == pytest.approx(0.01)
@@ -145,6 +144,7 @@ def test_phase_portrait_equilibrium_is_a_point():
         horizon=0.5,
         relay=None,
     )
-    delta, omega = phase_portrait(run_scenario(scn))
+    record = run_scenario(scn)
+    delta, omega = record.delta, record.omega_dev
     assert np.ptp(delta) < 1e-9
     assert np.ptp(omega) < 1e-9

@@ -25,7 +25,6 @@ from gfmswing import (
     variable_vi_gain,
     vi_from_current,
     vi_gain_from_drop,
-    vi_reference_update,
 )
 from gfmswing.limiter import ViValue, vi_drop
 
@@ -98,22 +97,14 @@ def test_vi_from_current_boundary_and_formula():
     assert vi.x_vi == pytest.approx(0.830182, abs=1e-5)
 
 
-def test_vi_reference_update_cases():
-    e_ref = Phasor(1.0, 0.0)
-    assert complex(vi_reference_update(ViValue(), 0.7 + 0.2j, e_ref)) == complex(e_ref)
-    out = vi_reference_update(ViValue(1.0, 0.0), 1.0 + 0j, e_ref)
-    assert abs(complex(out)) < 1e-15
-
-
-def test_vi_reference_update_matches_complex_product():
+def test_vi_drop_matches_complex_product():
     rng = np.random.default_rng(23)
     for _ in range(1000):
         vi = ViValue(float(rng.uniform(0, 2)), float(rng.uniform(0, 5)))
         i_dq = complex(rng.normal(), rng.normal())
-        e_ref = complex(rng.normal(), rng.normal())
         # oracle: the dq expansion is exactly the complex product
-        expected = e_ref - vi.as_complex * i_dq
-        assert abs(complex(vi_reference_update(vi, i_dq, e_ref)) - expected) < 1e-12
+        expected = vi.as_complex * i_dq
+        assert abs(complex(vi_drop(vi, i_dq)) - expected) < 1e-12
 
 
 def test_vi_drop_magnitude_identity():
@@ -148,7 +139,7 @@ def test_solve_zero_drive():
     mag, vi, sol = solve_variable_vi_current(0.0, params)
     assert mag == pytest.approx(0.0, abs=1e-12)
     assert vi == ViValue(0.0, 0.0)
-    assert sol.zero_current
+    assert sol.z_apparent is None
 
 
 def test_solve_at_pi_matches_bisection_oracle():

@@ -26,7 +26,7 @@ def test_phasor_polar_round_trip():
         mag = float(rng.uniform(1e-6, 10.0))
         ang = float(rng.uniform(-math.pi, math.pi))
         p = Phasor.from_polar(mag, ang)
-        assert p.mag == pytest.approx(mag, abs=1e-12)
+        assert abs(p) == pytest.approx(mag, abs=1e-12)
         # angles compared on the circle
         diff = (p.ang - ang + math.pi) % (2 * math.pi) - math.pi
         assert abs(diff) < 1e-12
@@ -41,20 +41,9 @@ def test_phasor_angle_range():
 
 def test_phasor_is_complex():
     p = Phasor(3.0, 4.0)
-    assert p.re == 3.0 and p.im == 4.0
-    assert p.mag == 5.0
+    assert p.real == 3.0 and p.imag == 4.0
+    assert abs(p) == 5.0
     assert p + 1j == complex(3.0, 5.0)
-
-
-def test_wrap_angle():
-    from gfmswing.network import wrap_angle
-
-    assert wrap_angle(0.0) == 0.0
-    assert wrap_angle(math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(-math.pi) == pytest.approx(math.pi)  # (-pi, pi]
-    assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(-0.5) == pytest.approx(-0.5)
-    assert wrap_angle(2 * math.pi + 0.25) == pytest.approx(0.25)
 
 
 def test_total_impedance_table1():
@@ -93,7 +82,6 @@ def test_vi_ratio_defaults_to_total_impedance_angle():
 
 def test_solve_zero_angle_equal_sources_gives_zero_current():
     sol = solve_network(0.0, 0j, SystemParams())
-    assert sol.zero_current
     assert abs(sol.current) < 1e-12
     assert sol.z_apparent is None
 
@@ -105,8 +93,8 @@ def test_solve_at_pi_matches_midline_point():
     # z_relay_to_grid - z_sigma/2
     expected = complex(params.z_relay_to_grid) - 0.5 * complex(params.z_sigma)
     assert abs(complex(sol.z_apparent) - expected) < 1e-12
-    assert sol.z_apparent.re == pytest.approx(0.0428, abs=2e-4)
-    assert sol.z_apparent.im == pytest.approx(0.3678, abs=2e-4)
+    assert sol.z_apparent.real == pytest.approx(0.0428, abs=2e-4)
+    assert sol.z_apparent.imag == pytest.approx(0.3678, abs=2e-4)
 
 
 def test_current_magnitude_at_activation_angle():
@@ -126,7 +114,7 @@ def test_kirchhoff_residual_random():
         drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta)
         residual = drive - (complex(params.z_sigma) + z_vi) * complex(sol.current)
         assert abs(residual) < 1e-12
-        if not sol.zero_current:
+        if sol.z_apparent is not None:
             assert abs(complex(sol.z_apparent) * complex(sol.current) - complex(sol.v_relay)) < 1e-12
 
 

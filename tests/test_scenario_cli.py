@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -261,15 +263,83 @@ BAD_SCENARIOS = {
     "zero-f_nominal": '{"horizon": 1.0, "relay": {"f_nominal": 0}}',
     "negative-psb_cycles": '{"horizon": 1.0, "relay": {"psb_cycles": -1}}',
     "off-axis-e_ref": '{"horizon": 1.0, "system": {"e_ref": {"mag": 1.0, "angle_deg": 10}}}',
+    "non-utf8-byte": b'{"horizon": 1.0, "name": "\xff"}',
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "400-digit-h": '{"horizon": 1.0, "apcl": {"h": 1' + "0" * 400 + "}}",
+    "5000-digit-horizon": '{"horizon": 1' + "0" * 5000 + "}",
+    "huge-i_max": '{"horizon": 1.0, "system": {"i_max": 1e308}}',
+    "huge-z_g": '{"horizon": 1.0, "system": {"z_g": [1e308, 0.6]}}',
+    "huge-currents": '{"horizon": 1.0, "system": {"i_th": 1e300, "i_max": 1e301}}',
+    "huge-sources": '{"horizon": 1.0, "system": {"e_ref": [1e200, 0], "v_g_mag": 1e200}}',
+    "tiny-sources": '{"horizon": 1.0, "system": {"e_ref": [1e-200, 0], "v_g_mag": 1e-200}}',
+    "tiny-currents": '{"horizon": 1.0, "system": {"i_th": 1e-200, "i_max": 2e-200}}',
 }
 
 
 @pytest.mark.parametrize("text", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS.keys())
 def test_cli_error_exit_code(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    for command in ("simulate", "trajectory", "pdelta"):
+        assert main([command, "--scenario", str(bad), "--out", str(tmp_path / command)]) == 1, command
+        assert capsys.readouterr().err.startswith("error: "), command
+
+
+FUZZ_SECTIONS = ("system", "apcl", "limiter", "relay", "events")
+FUZZ_SCALES = (-300, -6, -3, -1, 1, 3, 6, 300)  # decades
+
+
+def _spots(node, path):
+    """(container, key, path) of every key and list entry below ``node``, subtrees included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key, (*path, key)
+        yield from _spots(child, (*path, key))
+
+
+def _mutate(rng, raw) -> str:
+    """Apply one random mutation to a scenario dict; returns its description."""
+    op = rng.choice(("scale", "sign", "nan", "string", "drop", "reorder"))
+    if op == "reorder":
+        rng.shuffle(raw["events"])
+        return op
+    spots = [spot for s in FUZZ_SECTIONS if s in raw for spot in _spots(raw[s], (s,))]
+    if op in ("scale", "sign"):
+        spots = [(node, key, path) for node, key, path in spots if isinstance(node[key], (int, float))]
+    node, key, path = rng.choice(spots)
+    if op == "drop":
+        del node[key]
+    elif op == "nan":
+        node[key] = math.nan
+    elif op == "string":
+        node[key] = "x"
+    elif op == "sign":
+        node[key] = -node[key]
+    else:
+        node[key] *= 10.0 ** rng.choice(FUZZ_SCALES)
+    return f"{op} {'.'.join(map(str, path))}"
+
+
+def test_cli_fuzzed_scenarios_exit_cleanly(tmp_path, capsys):
+    # seeded mutations of every built-in case: each command exits 0, or 1 with an
+    # error line, never with a traceback, and a simulated record stays finite
+    rng = random.Random(7)
+    out = tmp_path / "out"
+    for i in range(120):  # ten mutants per case
+        scn = build_case(CASE_IDS[i % len(CASE_IDS)])
+        raw = scenario_to_dict(scn)
+        raw.update(horizon=max(ev.time for ev in scn.events) + 0.2, dt=1e-2)
+        mutations = [_mutate(rng, raw) for _ in range(rng.randint(1, 3))]
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(raw))
+        for command in (["simulate"], ["trajectory", "--samples", "101"], ["pdelta", "--samples", "101"]):
+            rc = main([*command, "--scenario", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 0 or (rc == 1 and err.startswith("error: ")), (scn.name, mutations, command, err)
+            if rc == 0 and command == ["simulate"]:
+                rows = csv.DictReader((out / "record.csv").read_text().splitlines())
+                finite = all(math.isfinite(float(r["delta"]) + float(r["omega_dev"])) for r in rows)
+                assert finite, (scn.name, mutations)
 
 
 BAD_FLAGS = {
@@ -287,6 +357,18 @@ def test_cli_bad_flag_values(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_unusable_output_directory(tmp_path, capsys):
+    # a file where the output directory should be, and a name no file system takes
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["simulate", "--case", "caseA1", "--out", str(blocker)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    path = _write_fast_scenario(tmp_path, outputs="a\0b")
+    for command in ("simulate", "trajectory", "pdelta", "sweep"):
+        assert main([command, "--scenario", str(path)]) == 1, command
+        assert capsys.readouterr().err.startswith("error: "), command
+
+
 NAN = float("nan")
 
 
@@ -297,6 +379,12 @@ NAN = float("nan")
         lambda: ApclParams(d_p=float("inf")),
         lambda: SystemParams(v_g_mag=NAN),
         lambda: SystemParams(i_max=float("inf")),
+        lambda: SystemParams(i_max=1e308),
+        lambda: SystemParams(z_g=Phasor(1e308, 0.6)),
+        lambda: SystemParams(i_th=1e300, i_max=1e301),
+        lambda: SystemParams(e_ref=Phasor(1e200, 0.0), v_g_mag=1e200),
+        lambda: SystemParams(e_ref=Phasor(1e-200, 0.0), v_g_mag=1e-200),
+        lambda: SystemParams(i_th=1e-200, i_max=2e-200),
         lambda: SystemParams(e_ref=Phasor.from_polar_deg(1.0, 10.0)),
         lambda: SystemParams(e_ref=Phasor(0.0, 0.0)),
         lambda: LimiterConfig(kp=NAN),
@@ -306,7 +394,9 @@ NAN = float("nan")
         lambda: replace(build_case("caseA1"), events=(Event(NAN, EventKind.PHASE_JUMP, -1.0),)),
     ],
     ids=[
-        "apcl-h", "apcl-d_p", "v_g_mag", "i_max", "e_ref-off-axis", "e_ref-zero",
+        "apcl-h", "apcl-d_p", "v_g_mag", "i_max",
+        "i_max-huge", "z_g-huge", "currents-huge", "sources-huge", "sources-tiny", "currents-tiny",
+        "e_ref-off-axis", "e_ref-zero",
         "kp", "k_vi", "dt", "horizon", "event-time",
     ],
 )

@@ -112,8 +112,8 @@ def test_adaptive_at_pi():
         params.v_g_mag / params.i_max, phi - math.pi
     )
     assert abs(complex(z) - expected) < 1e-12
-    assert z.re == pytest.approx(0.0160, abs=2e-4)
-    assert z.im == pytest.approx(0.0654, abs=2e-4)
+    assert z.real == pytest.approx(0.0160, abs=2e-4)
+    assert z.imag == pytest.approx(0.0654, abs=2e-4)
 
 
 def test_adaptive_circle_property_everywhere():
