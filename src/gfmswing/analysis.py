@@ -55,7 +55,7 @@ def p_delta_curve(
     """
     delta = _cycle_grid(n)
     v_far, current, active = cycle_currents(strategy, params, delta, gain)
-    p = np.real((v_far + complex(params.z_sigma) * current) * np.conj(current))
+    p = np.real((v_far + params.z_sigma * current) * np.conj(current))
     return PDeltaCurve(strategy=strategy, delta=delta, p=p, vi_active=active)
 
 

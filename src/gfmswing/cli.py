@@ -22,6 +22,8 @@ from .limiter import Strategy, critical_angle
 from .scenario import Scenario, _float, load_scenario, scenario_to_dict
 from .trajectory import full_cycle
 
+MAX_SAMPLES = 1_000_000  # --samples cap: trajectory and pdelta hold every sample in memory
+
 
 def _load(args) -> Scenario:
     if args.scenario is not None:
@@ -47,8 +49,8 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
 
 
 def _samples(args) -> int:
-    if args.samples < 3:
-        raise ValidationError(f"--samples: expected at least 3, got {args.samples}")
+    if not 3 <= args.samples <= MAX_SAMPLES:
+        raise ValidationError(f"--samples: expected 3 to {MAX_SAMPLES}, got {args.samples}")
     return args.samples
 
 
@@ -203,19 +205,19 @@ def cmd_pdelta(args) -> int:
 
 def cmd_sweep(args) -> int:
     scn = _load(args)
-    out = _out_dir(args, scn)
     h_values = _parse_grid(args.h, "--h") or [scn.apcl.h]
     dp_values = _parse_grid(args.dp, "--dp") or [scn.apcl.d_p]
     try:
         pairs = itertools.product(h_values, dp_values)
-        grid = [replace(scn.apcl, h=h, d_p=d_p) for h, d_p in pairs]
+        grid = [replace(scn, apcl=replace(scn.apcl, h=h, d_p=d_p)) for h, d_p in pairs]
     except ValueError as exc:
         raise ValidationError(f"--h/--dp: {exc}") from exc
+    out = _out_dir(args, scn)
     rows = []
-    for apcl in grid:
-        record = dynamics.run_scenario(replace(scn, apcl=apcl))
-        first_swing = _first_swing_period(record)
-        rows.append({"h": apcl.h, "d_p": apcl.d_p, **_verdict(record), "first_swing_period": first_swing})
+    for point in grid:
+        record = dynamics.run_scenario(point)
+        row = {"h": point.apcl.h, "d_p": point.apcl.d_p, **_verdict(record)}
+        rows.append({**row, "first_swing_period": _first_swing_period(record)})
     header = ["h", "d_p", "verdict", "pole_slips", "max_delta_excursion", "first_swing_period"]
     _write_csv(out / "sweep.csv", header, ([row[key] for key in header] for row in rows))
     summary = {"scenario": scenario_to_dict(scn), "boundaries": _boundary_angles(scn), "sweep": rows}

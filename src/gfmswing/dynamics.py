@@ -163,8 +163,8 @@ def electrical_power(
     if not faulted:
         _, vi, sol = solve_variable_vi_current(delta, params, gain)
         return active_power(sol), sol, vi
-    z_ext = complex(params.z_tr) + fault_fraction * complex(params.z_l)
-    _, vi = solve_limited_current(complex(params.e_ref), z_ext, gain, params.vi_ratio, params.i_th)
+    z_ext = params.z_tr + fault_fraction * params.z_l
+    _, vi = solve_limited_current(params.e_ref, z_ext, gain, params.vi_ratio, params.i_th)
     sol = solve_faulted(vi.as_complex, params, fault_fraction)
     return active_power(sol), sol, vi
 

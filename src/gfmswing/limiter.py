@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import AlwaysExceeded, DegenerateCircuit, InvalidThresholds, NoConvergence, Unreachable
-from .network import NetworkSolution, Phasor, SystemParams, solve_network
+from .network import NetworkSolution, SystemParams, solve_network
 
 SOLVE_TOL = 1e-10
 MAX_SOLVE_ITER = 100
@@ -108,11 +108,11 @@ def vi_from_current(mag: float, gain: float, alpha_vi: float, i_th: float) -> Vi
     return ViValue(r_vi, alpha_vi * r_vi)
 
 
-def vi_drop(vi: ViValue, i_dq: complex) -> Phasor:
+def vi_drop(vi: ViValue, i_dq: complex) -> complex:
     """Voltage drop across the virtual impedance, assembled dq-component-wise."""
     v_d = vi.r_vi * i_dq.real - vi.x_vi * i_dq.imag
     v_q = vi.r_vi * i_dq.imag + vi.x_vi * i_dq.real
-    return Phasor(v_d, v_q)
+    return complex(v_d, v_q)
 
 
 def solve_limited_current(
@@ -188,10 +188,8 @@ def solve_variable_vi_current(
     """
     if gain is None:
         gain = variable_vi_gain(params)
-    drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta)
-    mag, vi = solve_limited_current(
-        drive, complex(params.z_sigma), gain, params.vi_ratio, params.i_th
-    )
+    drive = params.e_ref - params.v_g_mag * cmath.exp(-1j * delta)
+    mag, vi = solve_limited_current(drive, params.z_sigma, gain, params.vi_ratio, params.i_th)
     sol = solve_network(delta, vi.as_complex, params)
     return mag, vi, sol
 

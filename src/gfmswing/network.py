@@ -21,10 +21,11 @@ _PU_RANGE = (1e-6, 1e6)  # every source, impedance and current magnitude, per un
 
 
 class Phasor(complex):
-    """Complex per-unit quantity with polar constructors and an angle accessor.
+    """Complex per-unit parameter with polar constructors and an angle accessor.
 
-    Arithmetic behaves exactly like ``complex`` (results degrade to plain
-    ``complex``); wrap results in ``Phasor(...)`` where ``ang`` matters.
+    ``Phasor`` is the type of parameters only. Arithmetic behaves exactly
+    like ``complex`` and returns plain ``complex``, which is the type of
+    every computed quantity: solves, loci and curves.
     """
 
     __slots__ = ()
@@ -115,16 +116,16 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class NetworkSolution:
-    """Phasor solution of one series-loop solve.
+    """Complex solution of one series-loop solve.
 
     ``z_apparent`` is the relay measurement (relay-bus voltage over loop
     current) and is ``None`` when the current is numerically zero.
     """
 
-    current: Phasor
-    v_pcc: Phasor
-    v_relay: Phasor
-    z_apparent: Phasor | None
+    current: complex
+    v_pcc: complex
+    v_relay: complex
+    z_apparent: complex | None
 
 
 def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkSolution:
@@ -134,15 +135,15 @@ def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkS
     limiter; pass 0 for the unlimited case. Raises ``DegenerateCircuit``
     when the total loop impedance vanishes.
     """
-    z_total = complex(params.z_sigma) + z_vi
+    z_total = params.z_sigma + z_vi
     if abs(z_total) < 1e-12:
         raise DegenerateCircuit(f"|z_sigma + z_vi| = {abs(z_total):.3e} at delta={delta!r}")
     v_far = params.v_g_mag * cmath.exp(-1j * delta)
-    current = (complex(params.e_ref) - v_far) / z_total
-    v_pcc = v_far + complex(params.z_sigma) * current
-    v_relay = v_far + complex(params.z_relay_to_grid) * current
-    z_apparent = None if abs(current) < ZERO_CURRENT_TOL else Phasor(v_relay / current)
-    return NetworkSolution(Phasor(current), Phasor(v_pcc), Phasor(v_relay), z_apparent)
+    current = (params.e_ref - v_far) / z_total
+    v_pcc = v_far + params.z_sigma * current
+    v_relay = v_far + params.z_relay_to_grid * current
+    z_apparent = None if abs(current) < ZERO_CURRENT_TOL else v_relay / current
+    return NetworkSolution(current, v_pcc, v_relay, z_apparent)
 
 
 def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) -> NetworkSolution:
@@ -155,17 +156,17 @@ def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) ->
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fault fraction must be in [0, 1], got {fraction!r}")
-    z_path = complex(params.z_tr) + fraction * complex(params.z_l)
+    z_path = params.z_tr + fraction * params.z_l
     z_total = z_path + z_vi
     if abs(z_total) < 1e-12:
         raise DegenerateCircuit(f"faulted loop impedance {abs(z_total):.3e}")
-    current = complex(params.e_ref) / z_total
+    current = params.e_ref / z_total
     v_pcc = current * z_path
-    v_relay = current * (fraction * complex(params.z_l))
-    z_apparent = None if abs(current) < ZERO_CURRENT_TOL else Phasor(v_relay / current)
-    return NetworkSolution(Phasor(current), Phasor(v_pcc), Phasor(v_relay), z_apparent)
+    v_relay = current * (fraction * params.z_l)
+    z_apparent = None if abs(current) < ZERO_CURRENT_TOL else v_relay / current
+    return NetworkSolution(current, v_pcc, v_relay, z_apparent)
 
 
 def active_power(sol: NetworkSolution) -> float:
     """Active power injected at the PCC: real part of V_pcc times conjugated current."""
-    return (complex(sol.v_pcc) * complex(sol.current).conjugate()).real
+    return (sol.v_pcc * sol.current.conjugate()).real

@@ -64,8 +64,8 @@ class Blinder:
 
 def mho_contains(z: complex, zone: MhoZone) -> bool:
     """Boundary-inclusive membership in the zone's mho circle."""
-    center = 0.5 * complex(zone.reach)
-    return abs(complex(z) - center) <= abs(center)
+    center = 0.5 * zone.reach
+    return abs(z - center) <= abs(center)
 
 
 def blinder_contains(z: complex, b: Blinder) -> bool:
@@ -100,9 +100,7 @@ class RelaySettings:
         """Settings with every reach scaled by ``factor`` (angles unchanged)."""
         return replace(
             self,
-            zones=tuple(
-                MhoZone(Phasor(factor * complex(z.reach)), z.time_delay) for z in self.zones
-            ),
+            zones=tuple(MhoZone(Phasor(factor * z.reach), z.time_delay) for z in self.zones),
             outer=self.outer.scaled(factor),
             middle=self.middle.scaled(factor),
             inner=self.inner.scaled(factor),

@@ -23,6 +23,7 @@ from .relay import Blinder, MhoZone, RelaySettings
 
 SCHEMA_VERSION = 1
 MAX_STEPS = 10_000_000  # integration steps per run; the record holds 11 channels per step
+RK4_DAMPING_LIMIT = 2.78  # dt/(2*h*d_p) bound: RK4 is stable on the real axis down to about -2.785
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,11 @@ class Scenario:
         problems = []
         if not 0.0 < self.dt < math.inf:
             problems.append("dt must be positive and finite")
+        elif self.dt / (2.0 * self.apcl.h) / self.apcl.d_p >= RK4_DAMPING_LIMIT:
+            problems.append(
+                f"dt/(2*apcl.h*apcl.d_p) must stay below {RK4_DAMPING_LIMIT} for RK4 on the damping pole "
+                f"(dt = {self.dt!r} s, apcl.h = {self.apcl.h!r}, apcl.d_p = {self.apcl.d_p!r})"
+            )
         if not 0.0 < self.horizon < math.inf:
             problems.append("horizon must be positive and finite")
         if not problems and self.horizon / self.dt > MAX_STEPS:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GfmSwingError
 from .limiter import Strategy, solve_variable_vi_current, variable_vi_gain
-from .network import Phasor, SystemParams
+from .network import SystemParams
 
 
 class PoleAtZero(GfmSwingError):
@@ -36,26 +36,23 @@ class Segment(Enum):
 @dataclass(frozen=True)
 class TrajectorySample:
     delta: float
-    z_app: Phasor
+    z_app: complex
     segment: Segment
 
 
-def swing_line(params: SystemParams) -> tuple[Phasor, Phasor]:
+def swing_line(params: SystemParams) -> tuple[complex, complex]:
     """Anchor point and direction of the unlimited swing-impedance line."""
-    anchor = complex(params.z_relay_to_grid) - 0.5 * complex(params.z_sigma)
-    direction = -1j * complex(params.z_sigma)
-    return Phasor(anchor), Phasor(direction)
+    return params.z_relay_to_grid - 0.5 * params.z_sigma, -1j * params.z_sigma
 
 
 def line_distance(z: complex, params: SystemParams) -> float:
     """Perpendicular distance from a point to the unlimited swing line."""
     anchor, direction = swing_line(params)
-    unit = complex(direction) / abs(direction)
-    rel = complex(z) - complex(anchor)
-    return abs((rel * unit.conjugate()).imag)
+    unit = direction / abs(direction)
+    return abs(((z - anchor) * unit.conjugate()).imag)
 
 
-def z_unlimited(delta: float, params: SystemParams) -> Phasor:
+def z_unlimited(delta: float, params: SystemParams) -> complex:
     """Apparent impedance with no current limiting.
 
     Valid for equal source magnitudes; the locus is the straight line
@@ -65,11 +62,7 @@ def z_unlimited(delta: float, params: SystemParams) -> Phasor:
     if math.sin(half) == 0.0:
         raise PoleAtZero(f"apparent impedance is unbounded at delta={delta!r}")
     cot_half = math.cos(half) / math.sin(half)
-    return Phasor(
-        complex(params.z_relay_to_grid)
-        - 0.5 * complex(params.z_sigma)
-        - 0.5j * complex(params.z_sigma) * cot_half
-    )
+    return params.z_relay_to_grid - 0.5 * params.z_sigma - 0.5j * params.z_sigma * cot_half
 
 
 def limited_current_angle(delta: float, phi: float) -> float:
@@ -82,7 +75,7 @@ def limited_current_angle(delta: float, phi: float) -> float:
     return 0.5 * math.pi - 0.5 * delta - phi
 
 
-def z_variable_vi(delta: float, params: SystemParams, gain: float | None = None) -> Phasor:
+def z_variable_vi(delta: float, params: SystemParams, gain: float | None = None) -> complex:
     """Apparent impedance under the variable strategy at angle ``delta``.
 
     In the active set the current comes from the implicit solve; outside it
@@ -91,10 +84,10 @@ def z_variable_vi(delta: float, params: SystemParams, gain: float | None = None)
     v_far, current, _ = cycle_currents(Strategy.VARIABLE_VI, params, np.array([delta]), gain)
     if current[0] == 0.0:
         raise PoleAtZero(f"apparent impedance is unbounded at delta={delta!r}")
-    return Phasor(complex(params.z_relay_to_grid) + complex(v_far[0] / current[0]))
+    return params.z_relay_to_grid + v_far[0] / current[0]
 
 
-def z_adaptive_vi(delta: float, params: SystemParams) -> Phasor:
+def z_adaptive_vi(delta: float, params: SystemParams) -> complex:
     """Apparent impedance under the adaptive strategy in its active set.
 
     The current magnitude is regulated to ``i_max``, so the locus is a
@@ -104,7 +97,7 @@ def z_adaptive_vi(delta: float, params: SystemParams) -> Phasor:
     phi = params.z_sigma.ang
     radius = params.v_g_mag / params.i_max
     ang = phi - 0.5 * math.pi - 0.5 * delta
-    return Phasor(complex(params.z_relay_to_grid) + cmath.rect(radius, ang))
+    return params.z_relay_to_grid + cmath.rect(radius, ang)
 
 
 def _cycle_grid(n: int) -> np.ndarray:
@@ -130,9 +123,9 @@ def cycle_currents(
     holds ``|I| = i_max`` with its virtual impedance along ``1 + j*vi_ratio``.
     """
     delta = np.asarray(delta, dtype=float)
-    z_sigma = complex(params.z_sigma)
+    z_sigma = params.z_sigma
     v_far = params.v_g_mag * np.exp(-1j * delta)
-    drive = complex(params.e_ref) - v_far
+    drive = params.e_ref - v_far
     current = drive / z_sigma
     level = {Strategy.VARIABLE_VI: params.i_th, Strategy.ADAPTIVE_VI: params.i_max}.get(strategy)
     if level is None:
@@ -168,10 +161,10 @@ def full_cycle(
     """
     delta = _cycle_grid(n_samples)
     v_far, current, active = cycle_currents(strategy, params, delta, gain)
-    z_app = complex(params.z_relay_to_grid) + v_far / current
+    z_app = params.z_relay_to_grid + v_far / current
     adaptive = strategy is Strategy.ADAPTIVE_VI
     limited = Segment.ACTIVE_ADAPTIVE if adaptive else Segment.ACTIVE_VARIABLE
     return [
-        TrajectorySample(d, Phasor(z), limited if on else Segment.INACTIVE)
+        TrajectorySample(d, z, limited if on else Segment.INACTIVE)
         for d, z, on in zip(delta.tolist(), z_app.tolist(), active.tolist())
     ]

@@ -233,18 +233,33 @@ def test_relay_is_an_observer():
     assert {"psb_assert", "ost_trip", "trip"} <= kinds
 
 
+OVERFLOWING_STEPS = (Event(0.1, EventKind.POWER_STEP, 1e308), Event(0.2, EventKind.POWER_STEP, 1e308))
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, match",
     [
-        {"apcl": ApclParams(h=7.0, d_p=5e-302, p0=0.45), "dt": 1.0, "horizon": 10.0},
-        {"dt": 1e99, "horizon": 1e100},
+        ({"apcl": ApclParams(h=7.0, d_p=5e-302, p0=0.45), "dt": 1.0, "horizon": 10.0}, "damping pole"),
+        ({"dt": 1e99, "horizon": 1e100}, "damping pole"),
+        ({"events": OVERFLOWING_STEPS}, "diverged"),
     ],
-    ids=["stiff-damping", "huge-dt"],
+    ids=["stiff-damping", "huge-dt", "overflowing-setpoint"],
 )
-def test_divergent_swing_is_an_error(overrides):
-    # an explicit step far beyond the swing's stability limit overflows to NaN
-    with pytest.raises(ValidationError, match="diverged"):
+def test_divergent_swing_is_an_error(overrides, match):
+    # a step past the damping pole's RK4 limit is refused when the scenario is
+    # built; a swing that still overflows to NaN stops at run time
+    with pytest.raises(ValidationError, match=match):
         run_scenario(make_scenario(**overrides))
+
+
+def test_scenario_rejects_dt_past_the_damping_pole():
+    # dt/(2*h*d_p) = 3.57 lies past RK4's real-axis limit of 2.785; the frequency
+    # clamp keeps such a run finite, so only the scenario check catches it
+    base = build_case("caseA1")
+    assert base.dt == 5e-4
+    with pytest.raises(ValidationError, match=r"damping pole \(dt = 0\.0005 s, apcl\.h = 7\.0, apcl\.d_p = 1e-05\)"):
+        replace(base, apcl=replace(base.apcl, d_p=1e-5))
+    assert replace(base, apcl=replace(base.apcl, d_p=1e-3)).apcl.d_p == 1e-3
 
 
 def test_initial_state_rejects_excess_setpoint():

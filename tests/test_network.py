@@ -9,12 +9,21 @@ import pytest
 from gfmswing import (
     DegenerateCircuit,
     Phasor,
+    Strategy,
     SystemParams,
+    ViValue,
     active_power,
     critical_angle,
+    electrical_power,
+    full_cycle,
     solve_faulted,
     solve_network,
+    swing_line,
+    z_adaptive_vi,
+    z_unlimited,
+    z_variable_vi,
 )
+from gfmswing.limiter import vi_drop
 from gfmswing.trajectory import line_distance
 
 TABLE1_POLAR = ((0.6, 84.29), (0.3, 84.29), (0.16, 88.57))
@@ -169,3 +178,17 @@ def test_faulted_loop_geometry():
     )) < 1e-12
     with pytest.raises(ValueError):
         solve_faulted(0j, params, fraction=1.5)
+
+
+def test_parameters_are_phasors_and_results_plain_complex():
+    params = SystemParams()
+    assert type(params.z_sigma) is Phasor
+    assert math.degrees(params.z_sigma.ang) == pytest.approx(84.94, abs=5e-3)
+    fields = ("current", "v_pcc", "v_relay", "z_apparent")
+    results = [getattr(solve_network(1.0, 0.1 + 0.2j, params), f) for f in fields]
+    results += [getattr(solve_faulted(0.1 + 0.2j, params), f) for f in fields]
+    results += [getattr(electrical_power(1.0, 0.5, params, faulted=True)[1], f) for f in fields]
+    results += [s.z_app for s in full_cycle(Strategy.VARIABLE_VI, params, n_samples=9)]
+    results += [z_unlimited(1.0, params), z_variable_vi(2.5, params), z_adaptive_vi(2.5, params)]
+    results += [*swing_line(params), vi_drop(ViValue(0.1, 0.2), 1.0 + 2.0j)]
+    assert [type(x).__name__ for x in results] == ["complex"] * len(results)

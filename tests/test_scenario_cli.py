@@ -348,6 +348,9 @@ BAD_FLAGS = {
     "text-h": ["sweep", "--case", "caseC1", "--h", "abc"],
     "nan-h": ["sweep", "--case", "caseC1", "--h", "nan"],
     "two-samples": ["trajectory", "--case", "caseA1", "--samples", "2"],
+    "huge-samples-trajectory": ["trajectory", "--case", "caseA1", "--samples", "1000000000000"],
+    "huge-samples-pdelta": ["pdelta", "--case", "caseA1", "--samples", "1000000000000"],
+    "stiff-dp-sweep": ["sweep", "--case", "caseC1", "--dp", "0.05,1e-5"],
 }
 
 
