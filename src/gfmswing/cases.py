@@ -22,15 +22,15 @@ CASE_D_SCALE = 2.0 / 3.0  # line impedance shrinks from 0.3 to 0.2 pu
 _STRATEGY_BY_SUFFIX = {"1": Strategy.NONE, "2": Strategy.VARIABLE_VI, "3": Strategy.ADAPTIVE_VI}
 
 
-def _scenario(name, apcl, events, strategy, system=None, relay=None, horizon=28.5):
+def _scenario(name, apcl, events, strategy, system=SystemParams(), relay=RelaySettings(), horizon=28.5):
     return Scenario(
         name=name,
-        system=system if system is not None else SystemParams(),
+        system=system,
         apcl=apcl,
         limiter=LimiterConfig(strategy=strategy),
         events=tuple(events),
         horizon=horizon,
-        relay=relay if relay is not None else RelaySettings.table1(),
+        relay=relay,
     )
 
 
@@ -82,7 +82,7 @@ def _case_d() -> Scenario:
         [Event(8.0, EventKind.FAULT_APPLY, 0.5), Event(8.25, EventKind.FAULT_CLEAR)],
         Strategy.ADAPTIVE_VI,
         system=case_d_system(),
-        relay=RelaySettings.table1().scaled(CASE_D_SCALE),
+        relay=RelaySettings().scaled(CASE_D_SCALE),
         horizon=28.5,
     )
 

@@ -13,8 +13,10 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, cases, dynamics
 from .errors import GfmSwingError, InsufficientHorizon, ValidationError
@@ -23,6 +25,7 @@ from .scenario import Scenario, _float, load_scenario, scenario_to_dict
 from .trajectory import full_cycle
 
 MAX_SAMPLES = 1_000_000  # --samples cap: trajectory and pdelta hold every sample in memory
+CSV_CHUNK_ROWS = 4096  # rows converted to Python values at a time; whole columns would double peak memory
 
 
 def _load(args) -> Scenario:
@@ -63,20 +66,19 @@ def _out_dir(args, scn: Scenario) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """A CSV file from a header -> column mapping.
+
+    Array columns become Python values chunk by chunk, bool arrays as 0/1;
+    sequence columns hold Python values already (``None`` is an empty cell).
+    """
+    cols = [c.view(np.uint8) if isinstance(c, np.ndarray) and c.dtype == bool else c for c in columns.values()]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v):
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, float):
-        return repr(float(v))  # normalizes numpy scalars
-    return v
+        writer.writerow(columns)
+        for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+            chunks = (c[start : start + CSV_CHUNK_ROWS] for c in cols)
+            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunks)))
 
 
 def _boundary_angles(scn: Scenario) -> dict:
@@ -114,27 +116,10 @@ def cmd_simulate(args) -> int:
     scn = _apply_overrides(_load(args), args)
     out = _out_dir(args, scn)
     record = dynamics.run_scenario(scn)
-    _write_csv(
-        out / "record.csv",
-        ["t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x", "psb", "ost"],
-        (
-            (
-                record.t[k],
-                record.delta[k],
-                record.omega_dev[k],
-                record.i_mag[k],
-                record.zapp_re[k],
-                record.zapp_im[k],
-                record.p_e[k],
-                record.vi_r[k],
-                record.vi_x[k],
-                bool(record.psb[k]),
-                bool(record.ost[k]),
-            )
-            for k in range(len(record))
-        ),
-    )
-    _write_csv(out / "relay_events.csv", ["t", "event", "element"], record.relay_events)
+    channels = [f.name for f in fields(record) if isinstance(getattr(record, f.name), np.ndarray)]
+    _write_csv(out / "record.csv", {name: getattr(record, name) for name in channels})
+    log = {h: [entry[k] for entry in record.relay_events] for k, h in enumerate(("t", "event", "element"))}
+    _write_csv(out / "relay_events.csv", log)
     verdict = _verdict(record) if record.events else _NO_VERDICT
     summary = {
         "scenario": scenario_to_dict(scn),
@@ -152,15 +137,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    scn = _load(args)
+    scn, n = _load(args), _samples(args)
     out = _out_dir(args, scn)
     strategy = _strategy_or_none(args) or scn.limiter.strategy
-    samples = full_cycle(strategy, scn.system, n_samples=_samples(args), gain=scn.limiter.k_vi)
-    _write_csv(
-        out / "trajectory.csv",
-        ["delta", "re", "im", "segment"],
-        ((s.delta, s.z_app.real, s.z_app.imag, s.segment.value) for s in samples),
-    )
+    samples = full_cycle(strategy, scn.system, n_samples=n, gain=scn.limiter.k_vi)
+    delta = np.fromiter((s.delta for s in samples), float, len(samples))
+    z_app = np.fromiter((s.z_app for s in samples), complex, len(samples))
+    segment = [s.segment.value for s in samples]
+    _write_csv(out / "trajectory.csv", {"delta": delta, "re": z_app.real, "im": z_app.imag, "segment": segment})
     summary = {
         "scenario": scenario_to_dict(scn),
         "strategy": strategy.value,
@@ -173,25 +157,17 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_pdelta(args) -> int:
-    scn = _load(args)
+    scn, n = _load(args), _samples(args)
     out = _out_dir(args, scn)
-    n, gain = _samples(args), scn.limiter.k_vi
-    curves = {s: analysis.p_delta_curve(s, scn.system, n=n, gain=gain) for s in Strategy}
-    ref = curves[Strategy.NONE]
+    curves = {s: analysis.p_delta_curve(s, scn.system, n=n, gain=scn.limiter.k_vi) for s in Strategy}
     _write_csv(
         out / "pdelta.csv",
-        ["delta", "p_none", "p_variable", "p_adaptive", "variable_active", "adaptive_active"],
-        (
-            (
-                ref.delta[k],
-                curves[Strategy.NONE].p[k],
-                curves[Strategy.VARIABLE_VI].p[k],
-                curves[Strategy.ADAPTIVE_VI].p[k],
-                bool(curves[Strategy.VARIABLE_VI].vi_active[k]),
-                bool(curves[Strategy.ADAPTIVE_VI].vi_active[k]),
-            )
-            for k in range(len(ref.delta))
-        ),
+        {
+            "delta": curves[Strategy.NONE].delta,
+            **{f"p_{s.value}": curves[s].p for s in Strategy},
+            "variable_active": curves[Strategy.VARIABLE_VI].vi_active,
+            "adaptive_active": curves[Strategy.ADAPTIVE_VI].vi_active,
+        },
     )
     summary = {
         "scenario": scenario_to_dict(scn),
@@ -219,7 +195,7 @@ def cmd_sweep(args) -> int:
         row = {"h": point.apcl.h, "d_p": point.apcl.d_p, **_verdict(record)}
         rows.append({**row, "first_swing_period": _first_swing_period(record)})
     header = ["h", "d_p", "verdict", "pole_slips", "max_delta_excursion", "first_swing_period"]
-    _write_csv(out / "sweep.csv", header, ([row[key] for key in header] for row in rows))
+    _write_csv(out / "sweep.csv", {key: [row[key] for row in rows] for key in header})
     summary = {"scenario": scenario_to_dict(scn), "boundaries": _boundary_angles(scn), "sweep": rows}
     _write_summary(out, summary)
     print(f"sweep {scn.name}: wrote {out / 'sweep.csv'}")

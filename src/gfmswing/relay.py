@@ -20,7 +20,7 @@ class MhoZone:
     """Directional mho circle through the origin with diameter ``reach``."""
 
     reach: Phasor
-    time_delay: float
+    time_delay: float = 0.0
 
     def __post_init__(self):
         if abs(self.reach) <= 0.0:
@@ -34,23 +34,24 @@ class Blinder:
     """Tilted resistive band with reactance limits.
 
     ``rgt``/``lft`` are the resistive-axis intercepts of the two blinder
-    lines (tilted by ``tilt`` from the resistive axis); ``fwd``/``rev``
-    bound the reactance.
+    lines (tilted by ``tilt_deg`` degrees from the resistive axis);
+    ``fwd``/``rev`` bound the reactance.
     """
 
     rgt: float
     lft: float
     fwd: float
     rev: float
-    tilt: float
+    tilt_deg: float
 
     def __post_init__(self):
         if not self.lft < 0.0 < self.rgt:
             raise ValueError("require lft < 0 < rgt")
         if not self.rev < 0.0 < self.fwd:
             raise ValueError("require rev < 0 < fwd")
-        if not 0.0 < self.tilt <= 0.5 * math.pi:
-            raise ValueError("tilt must lie in (0, pi/2]")
+        # checked in radians: a subnormal tilt_deg converts to a zero angle
+        if not 0.0 < math.radians(self.tilt_deg) <= 0.5 * math.pi:
+            raise ValueError("tilt_deg must lie in (0, 90]")
 
     def scaled(self, factor: float) -> "Blinder":
         return Blinder(
@@ -58,7 +59,7 @@ class Blinder:
             lft=self.lft * factor,
             fwd=self.fwd * factor,
             rev=self.rev * factor,
-            tilt=self.tilt,
+            tilt_deg=self.tilt_deg,
         )
 
 
@@ -70,18 +71,26 @@ def mho_contains(z: complex, zone: MhoZone) -> bool:
 
 def blinder_contains(z: complex, b: Blinder) -> bool:
     """Boundary-inclusive membership in the blinder quadrilateral."""
-    u = z.real - z.imag / math.tan(b.tilt)
+    u = z.real - z.imag / math.tan(math.radians(b.tilt_deg))
     return b.lft <= u <= b.rgt and b.rev <= z.imag <= b.fwd
 
 
 @dataclass(frozen=True)
 class RelaySettings:
-    """Zone reaches/delays plus the three detection blinders."""
+    """Zone reaches/delays plus the three detection blinders.
 
-    zones: tuple[MhoZone, ...]
-    outer: Blinder
-    middle: Blinder
-    inner: Blinder
+    The defaults are the reference distance-protection and swing-detection
+    settings.
+    """
+
+    zones: tuple[MhoZone, ...] = (
+        MhoZone(Phasor.from_polar_deg(0.48, 84.29)),
+        MhoZone(Phasor.from_polar_deg(0.72, 84.29), 0.5),
+        MhoZone(Phasor.from_polar_deg(1.20, 84.29), 1.0),
+    )
+    outer: Blinder = Blinder(rgt=0.84, lft=-0.84, fwd=1.88, rev=-0.56, tilt_deg=84.94)
+    middle: Blinder = Blinder(rgt=0.61, lft=-0.61, fwd=1.57, rev=-0.47, tilt_deg=84.94)
+    inner: Blinder = Blinder(rgt=0.25, lft=-0.25, fwd=1.31, rev=-0.39, tilt_deg=84.94)
     psb_cycles: float = 2.0
     f_nominal: float = 60.0
 
@@ -108,19 +117,8 @@ class RelaySettings:
 
     @classmethod
     def table1(cls) -> "RelaySettings":
-        """Reference distance-protection and swing-detection settings."""
-        tilt = math.radians(84.94)
-        line_angle = 84.29
-        return cls(
-            zones=(
-                MhoZone(Phasor.from_polar_deg(0.48, line_angle), 0.0),
-                MhoZone(Phasor.from_polar_deg(0.72, line_angle), 0.5),
-                MhoZone(Phasor.from_polar_deg(1.20, line_angle), 1.0),
-            ),
-            outer=Blinder(rgt=0.84, lft=-0.84, fwd=1.88, rev=-0.56, tilt=tilt),
-            middle=Blinder(rgt=0.61, lft=-0.61, fwd=1.57, rev=-0.47, tilt=tilt),
-            inner=Blinder(rgt=0.25, lft=-0.25, fwd=1.31, rev=-0.39, tilt=tilt),
-        )
+        """Reference distance-protection and swing-detection settings (the defaults)."""
+        return cls()
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ def test_criterion_07_relay_discrimination():
         e[1] == "psb_assert" for e in st.event_log
     )
 
-    cot = 1.0 / math.tan(settings.outer.tilt)
+    cot = 1.0 / math.tan(math.radians(settings.outer.tilt_deg))
 
     def ramp(transit):
         speed = (settings.outer.rgt - settings.middle.rgt) / transit

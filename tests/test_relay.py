@@ -50,7 +50,7 @@ def test_blinder_membership_examples():
     for b in (settings.outer, settings.middle, settings.inner):
         assert blinder_contains(0j, b)
     # resistive coordinate of 0+j0.5 is about -0.0443 for the 84.94 deg tilt
-    u = 0.0 - 0.5 / math.tan(settings.inner.tilt)
+    u = 0.0 - 0.5 / math.tan(math.radians(settings.inner.tilt_deg))
     assert u == pytest.approx(-0.0443, abs=1e-3)
     assert blinder_contains(0.5j, settings.inner)
     # far right resistive point is outside even the outer blinder
@@ -59,9 +59,9 @@ def test_blinder_membership_examples():
 
 def test_blinder_validation():
     with pytest.raises(ValueError):
-        Blinder(rgt=-1.0, lft=-2.0, fwd=1.0, rev=-1.0, tilt=1.0)
+        Blinder(rgt=-1.0, lft=-2.0, fwd=1.0, rev=-1.0, tilt_deg=60.0)
     with pytest.raises(ValueError):
-        Blinder(rgt=1.0, lft=-1.0, fwd=1.0, rev=-1.0, tilt=0.0)
+        Blinder(rgt=1.0, lft=-1.0, fwd=1.0, rev=-1.0, tilt_deg=0.0)
 
 
 def test_blinders_nested_on_dense_grid():
@@ -81,7 +81,7 @@ def test_scaled_settings():
     assert abs(settings.zones[0].reach) == pytest.approx(0.32)
     assert settings.outer.rgt == pytest.approx(0.56)
     assert settings.inner.rev == pytest.approx(-0.26)
-    assert settings.outer.tilt == RelaySettings.table1().outer.tilt
+    assert settings.outer.tilt_deg == RelaySettings.table1().outer.tilt_deg
     assert settings.delta_t_psb == pytest.approx(2.0 / 60.0)
 
 
@@ -116,7 +116,7 @@ def test_zone2_timer_and_reset():
 
 def make_ramp(settings, transit_outer_to_middle, x=0.3, dt=DT):
     """Horizontal path at constant reactance crossing the blinders right to left."""
-    cot = 1.0 / math.tan(settings.outer.tilt)
+    cot = 1.0 / math.tan(math.radians(settings.outer.tilt_deg))
     speed = (settings.outer.rgt - settings.middle.rgt) / transit_outer_to_middle
     u = settings.outer.rgt + 0.2
     points = []

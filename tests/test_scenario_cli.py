@@ -1,6 +1,7 @@
 """Scenario file handling and command-line front end."""
 
 import csv
+import itertools
 import json
 import math
 import random
@@ -77,14 +78,40 @@ def test_case_strategy_override():
 
 
 def test_round_trip_identity(tmp_path):
-    for case_id in ("caseA1", "caseD"):
-        scn = build_case(case_id)
-        path = tmp_path / f"{case_id}.json"
+    for case_id, strategy in itertools.product(CASE_IDS, (None, *Strategy)):
+        scn = build_case(case_id, strategy)
+        path = tmp_path / f"{scn.name}.json"
         save_scenario(scn, path)
         again = load_scenario(path)
         assert again == scn
         # serialization is stable too
         assert scenario_to_dict(again) == scenario_to_dict(scn)
+
+
+def test_schema_v1_keys_and_defaults():
+    d = scenario_to_dict(build_case("caseD"))
+    assert list(d) == ["schema_version", "name", "system", "apcl", "limiter", "events", "horizon", "dt", "relay"]
+    assert list(d["system"]) == ["e_ref", "v_g_mag", "z_g", "z_l", "z_tr", "i_max", "i_th", "alpha_vi"]
+    assert all(list(d["system"][k]) == ["re", "im"] for k in ("e_ref", "z_g", "z_l", "z_tr"))
+    assert list(d["apcl"]) == ["h", "d_p", "p0", "omega_n", "freq_clamp"]
+    assert list(d["limiter"]) == ["strategy", "k_vi", "kp", "ki", "delta_v_max"]
+    assert d["limiter"]["strategy"] == "adaptive"
+    assert [list(ev) for ev in d["events"]] == [["time", "kind", "value"]] * 2
+    assert [ev["kind"] for ev in d["events"]] == ["fault_apply", "fault_clear"]
+    relay = d["relay"]
+    assert list(relay) == ["zones", "outer", "middle", "inner", "psb_cycles", "f_nominal"]
+    assert [list(z) for z in relay["zones"]] == [["reach", "time_delay"]] * 3
+    assert all(list(z["reach"]) == ["re", "im"] for z in relay["zones"])
+    for blinder in ("outer", "middle", "inner"):
+        assert list(relay[blinder]) == ["rgt", "lft", "fwd", "rev", "tilt_deg"]
+        assert relay[blinder]["tilt_deg"] == 84.94
+    # the relay defaults are the reference settings, section by section
+    assert RelaySettings() == RelaySettings.table1()
+    assert scenario_from_dict({"horizon": 1.0, "relay": "table1"}).relay == RelaySettings()
+    partial = scenario_from_dict({"horizon": 1.0, "relay": {"psb_cycles": 3.0}}).relay
+    assert partial == replace(RelaySettings(), psb_cycles=3.0)
+    zones = scenario_from_dict({"horizon": 1.0, "relay": {"zones": [{"reach": [0.05, 0.48]}]}}).relay.zones
+    assert zones == (MhoZone(Phasor(0.05, 0.48), 0.0),)
 
 
 def test_empty_file_is_parse_error(tmp_path):
@@ -258,6 +285,7 @@ BAD_SCENARIOS = {
     "nan-apcl-h": '{"horizon": 1.0, "apcl": {"h": NaN}}',
     "numeric-limiter-alpha_vi": '{"horizon": 1.0, "limiter": {"alpha_vi": 10.0}}',
     "numeric-outputs": '{"horizon": 1.0, "outputs": 5}',
+    "numeric-name": '{"horizon": 1.0, "name": 5}',
     "huge-horizon": '{"horizon": 1e15}',
     "fault-beyond-line": '{"horizon": 1.0, "events": [{"time": 0.5, "kind": "fault_apply", "value": 1.5}]}',
     "zero-f_nominal": '{"horizon": 1.0, "relay": {"f_nominal": 0}}',
@@ -358,6 +386,7 @@ BAD_FLAGS = {
 def test_cli_bad_flag_values(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()  # rejected before any output is created
 
 
 def test_cli_unusable_output_directory(tmp_path, capsys):
