@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, cases, dynamics
 from .errors import GfmSwingError, InsufficientHorizon, ValidationError
 from .limiter import Strategy, critical_angle
-from .scenario import Scenario, _float, load_scenario, scenario_to_dict
+from .scenario import Scenario, _float, _shown, load_scenario, scenario_to_dict
 from .trajectory import full_cycle
 
 MAX_SAMPLES = 1_000_000  # --samples cap: trajectory and pdelta hold every sample in memory
@@ -29,26 +29,14 @@ CSV_CHUNK_ROWS = 4096  # rows converted to Python values at a time; whole column
 
 
 def _load(args) -> Scenario:
+    """The scenario of ``--scenario`` or ``--case`` under the ``--strategy`` override."""
+    strategy = Strategy(args.strategy) if args.strategy else None
     if args.scenario is not None:
         scn = load_scenario(args.scenario)
-    elif args.case is not None:
-        scn = cases.build_case(args.case, _strategy_or_none(args))
-        return scn
-    else:
-        raise GfmSwingError("one of --scenario or --case is required")
-    if _strategy_or_none(args) is not None:
-        scn = replace(scn, limiter=replace(scn.limiter, strategy=_strategy_or_none(args)))
-    return scn
-
-
-def _strategy_or_none(args) -> Strategy | None:
-    return Strategy(args.strategy) if getattr(args, "strategy", None) else None
-
-
-def _apply_overrides(scn: Scenario, args) -> Scenario:
-    if args.dt is not None:
-        scn = replace(scn, dt=args.dt)
-    return scn
+        return replace(scn, limiter=replace(scn.limiter, strategy=strategy)) if strategy else scn
+    if args.case is not None:
+        return cases.build_case(args.case, strategy)
+    raise GfmSwingError("one of --scenario or --case is required")
 
 
 def _samples(args) -> int:
@@ -62,7 +50,8 @@ def _out_dir(args, scn: Scenario) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a file in the way, a bad name, no permission
-        raise ValidationError(f"output directory {str(path)!r}: {exc}") from exc
+        reason = getattr(exc, "strerror", exc)  # an OSError's text repeats the whole path
+        raise ValidationError(f"output directory {_shown(str(path))}: {reason}") from exc
     return path
 
 
@@ -91,8 +80,14 @@ def _boundary_angles(scn: Scenario) -> dict:
     return out
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    (path / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _finish(out: Path, scn: Scenario, label: str, files: dict, **summary) -> None:
+    """Write each ``file name -> columns`` CSV file, then ``summary.json`` with the
+    scenario, its boundary angles and ``summary``, and report the first file."""
+    for name, columns in files.items():
+        _write_csv(out / name, columns)
+    payload = {"scenario": scenario_to_dict(scn), "boundaries": _boundary_angles(scn), **summary}
+    (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"{label}: wrote {out / next(iter(files))}")
 
 
 _NO_VERDICT = {"verdict": None, "max_delta_excursion": None, "pole_slips": None}
@@ -113,24 +108,24 @@ def _verdict(record) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    scn = _apply_overrides(_load(args), args)
+    scn = _load(args)
+    if args.dt is not None:
+        scn = replace(scn, dt=args.dt)
     out = _out_dir(args, scn)
     record = dynamics.run_scenario(scn)
     channels = [f.name for f in fields(record) if isinstance(getattr(record, f.name), np.ndarray)]
-    _write_csv(out / "record.csv", {name: getattr(record, name) for name in channels})
     log = {h: [entry[k] for entry in record.relay_events] for k, h in enumerate(("t", "event", "element"))}
-    _write_csv(out / "relay_events.csv", log)
     verdict = _verdict(record) if record.events else _NO_VERDICT
-    summary = {
-        "scenario": scenario_to_dict(scn),
-        "boundaries": _boundary_angles(scn),
+    _finish(
+        out,
+        scn,
+        f"simulate {scn.name}",
+        {"record.csv": {name: getattr(record, name) for name in channels}, "relay_events.csv": log},
         **verdict,
-        "relay_events": [list(entry) for entry in record.relay_events],
-        "psb_ever": bool(record.psb.any()),
-        "ost_ever": bool(record.ost.any()),
-    }
-    _write_summary(out, summary)
-    print(f"simulate {scn.name}: wrote {out / 'record.csv'}")
+        relay_events=[list(entry) for entry in record.relay_events],
+        psb_ever=bool(record.psb.any()),
+        ost_ever=bool(record.ost.any()),
+    )
     if verdict["verdict"] is not None:
         print(f"verdict: {verdict['verdict']} (pole slips: {verdict['pole_slips']})")
     return 0
@@ -139,20 +134,14 @@ def cmd_simulate(args) -> int:
 def cmd_trajectory(args) -> int:
     scn, n = _load(args), _samples(args)
     out = _out_dir(args, scn)
-    strategy = _strategy_or_none(args) or scn.limiter.strategy
+    strategy = scn.limiter.strategy
     samples = full_cycle(strategy, scn.system, n_samples=n, gain=scn.limiter.k_vi)
     delta = np.fromiter((s.delta for s in samples), float, len(samples))
     z_app = np.fromiter((s.z_app for s in samples), complex, len(samples))
     segment = [s.segment.value for s in samples]
-    _write_csv(out / "trajectory.csv", {"delta": delta, "re": z_app.real, "im": z_app.imag, "segment": segment})
-    summary = {
-        "scenario": scenario_to_dict(scn),
-        "strategy": strategy.value,
-        "boundaries": _boundary_angles(scn),
-        "n_samples": args.samples,
-    }
-    _write_summary(out, summary)
-    print(f"trajectory {scn.name} [{strategy.value}]: wrote {out / 'trajectory.csv'}")
+    columns = {"delta": delta, "re": z_app.real, "im": z_app.imag, "segment": segment}
+    label = f"trajectory {scn.name} [{strategy.value}]"
+    _finish(out, scn, label, {"trajectory.csv": columns}, strategy=strategy.value, n_samples=n)
     return 0
 
 
@@ -160,22 +149,14 @@ def cmd_pdelta(args) -> int:
     scn, n = _load(args), _samples(args)
     out = _out_dir(args, scn)
     curves = {s: analysis.p_delta_curve(s, scn.system, n=n, gain=scn.limiter.k_vi) for s in Strategy}
-    _write_csv(
-        out / "pdelta.csv",
-        {
-            "delta": curves[Strategy.NONE].delta,
-            **{f"p_{s.value}": curves[s].p for s in Strategy},
-            "variable_active": curves[Strategy.VARIABLE_VI].vi_active,
-            "adaptive_active": curves[Strategy.ADAPTIVE_VI].vi_active,
-        },
-    )
-    summary = {
-        "scenario": scenario_to_dict(scn),
-        "boundaries": _boundary_angles(scn),
-        "peaks": {s.value: curves[s].peak for s in Strategy},
+    columns = {
+        "delta": curves[Strategy.NONE].delta,
+        **{f"p_{s.value}": curves[s].p for s in Strategy},
+        "variable_active": curves[Strategy.VARIABLE_VI].vi_active,
+        "adaptive_active": curves[Strategy.ADAPTIVE_VI].vi_active,
     }
-    _write_summary(out, summary)
-    print(f"pdelta {scn.name}: wrote {out / 'pdelta.csv'}")
+    peaks = {s.value: curves[s].peak for s in Strategy}
+    _finish(out, scn, f"pdelta {scn.name}", {"pdelta.csv": columns}, peaks=peaks)
     return 0
 
 
@@ -195,31 +176,20 @@ def cmd_sweep(args) -> int:
         row = {"h": point.apcl.h, "d_p": point.apcl.d_p, **_verdict(record)}
         rows.append({**row, "first_swing_period": _first_swing_period(record)})
     header = ["h", "d_p", "verdict", "pole_slips", "max_delta_excursion", "first_swing_period"]
-    _write_csv(out / "sweep.csv", {key: [row[key] for row in rows] for key in header})
-    summary = {"scenario": scenario_to_dict(scn), "boundaries": _boundary_angles(scn), "sweep": rows}
-    _write_summary(out, summary)
-    print(f"sweep {scn.name}: wrote {out / 'sweep.csv'}")
+    columns = {key: [row[key] for row in rows] for key in header}
+    _finish(out, scn, f"sweep {scn.name}", {"sweep.csv": columns}, sweep=rows)
     return 0
 
 
 def _first_swing_period(record) -> float | None:
-    """Time between the first post-event crossing of the baseline angle and the next."""
+    """Time between the first post-event crossing of the baseline angle and the
+    third: a sign change, or a touch of zero, between distinct samples."""
     if not record.events:
         return None
-    t0 = min(ev.time for ev in record.events)
-    base = record.delta[0]
-    mask = record.t >= t0
-    delta = record.delta[mask] - base
-    t = record.t[mask]
-    crossings = []
-    for k in range(1, len(delta)):
-        if delta[k - 1] * delta[k] <= 0.0 and delta[k - 1] != delta[k]:
-            crossings.append(t[k])
-            if len(crossings) == 3:
-                break
-    if len(crossings) >= 3:
-        return float(crossings[2] - crossings[0])
-    return None
+    mask = record.t >= min(ev.time for ev in record.events)
+    d, t = record.delta[mask] - record.delta[0], record.t[mask]
+    k = np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != d[1:])) + 1
+    return float(t[k[2]] - t[k[0]]) if len(k) >= 3 else None
 
 
 def _parse_grid(text: str | None, flag: str) -> list[float] | None:

@@ -247,9 +247,7 @@ def run_scenario(scenario) -> SimulationRecord:
                 if ev.kind is EventKind.PHASE_JUMP:
                     delta += ev.value
                 elif ev.kind is EventKind.FAULT_APPLY:
-                    faulted = True
-                    if ev.value is not None:
-                        frac = ev.value
+                    faulted, frac = True, 0.5 if ev.value is None else ev.value
                 elif ev.kind is EventKind.FAULT_CLEAR:
                     faulted = False
                 else:

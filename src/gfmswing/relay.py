@@ -23,10 +23,10 @@ class MhoZone:
     time_delay: float = 0.0
 
     def __post_init__(self):
-        if abs(self.reach) <= 0.0:
-            raise ValueError("zone reach must have nonzero magnitude")
-        if self.time_delay < 0.0:
-            raise ValueError("zone time delay must be >= 0")
+        if not 0.0 < abs(self.reach) < math.inf:
+            raise ValueError("zone reach must have a finite nonzero magnitude")
+        if not 0.0 <= self.time_delay < math.inf:
+            raise ValueError("zone time delay must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ class Blinder:
     tilt_deg: float
 
     def __post_init__(self):
-        if not self.lft < 0.0 < self.rgt:
-            raise ValueError("require lft < 0 < rgt")
-        if not self.rev < 0.0 < self.fwd:
-            raise ValueError("require rev < 0 < fwd")
+        if not -math.inf < self.lft < 0.0 < self.rgt < math.inf:
+            raise ValueError("require finite lft < 0 < rgt")
+        if not -math.inf < self.rev < 0.0 < self.fwd < math.inf:
+            raise ValueError("require finite rev < 0 < fwd")
         # checked in radians: a subnormal tilt_deg converts to a zero angle
         if not 0.0 < math.radians(self.tilt_deg) <= 0.5 * math.pi:
             raise ValueError("tilt_deg must lie in (0, 90]")

@@ -70,22 +70,28 @@ class Scenario:
         validate_events(self.events)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to about 60 characters, for echoing input in an error."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:57]}..."
+
+
 def _float(value, field: str) -> float:
     """A finite float read from a scenario file, or ``ValidationError`` naming the field."""
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{field}: expected a number, got {value!r}") from None
+        raise ValidationError(f"{field}: expected a number, got {_shown(value)}") from None
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ValidationError(f"{field}: expected a finite number, got {value!r}")
+        raise ValidationError(f"{field}: expected a finite number, got {_shown(value)}")
     return number
 
 
 def _object(value, field: str) -> dict:
     if not isinstance(value, dict):
-        raise ValidationError(f"{field}: expected a JSON object, got {value!r}")
+        raise ValidationError(f"{field}: expected a JSON object, got {_shown(value)}")
     return value
 
 
@@ -99,7 +105,7 @@ def _phasor_from_value(value, field: str) -> Phasor:
         raise ValidationError(f"{field}: expected re/im or mag/angle_deg keys")
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return Phasor(_float(value[0], f"{field}[0]"), _float(value[1], f"{field}[1]"))
-    raise ValidationError(f"{field}: cannot interpret {value!r} as a phasor")
+    raise ValidationError(f"{field}: cannot interpret {_shown(value)} as a phasor")
 
 
 _type_hints = cache(get_type_hints)
@@ -148,7 +154,7 @@ def _from_json(tp, value, field: str):
     origin = get_origin(tp)
     if origin is tuple:
         if not isinstance(value, list):
-            raise ValidationError(f"{field}: expected a list, got {value!r}")
+            raise ValidationError(f"{field}: expected a list, got {_shown(value)}")
         return tuple(_from_json(get_args(tp)[0], item, f"{field}[{i}]") for i, item in enumerate(value))
     if origin is UnionType:  # X | None
         return None if value is None else _from_json(get_args(tp)[0], value, field)
@@ -156,12 +162,12 @@ def _from_json(tp, value, field: str):
         try:
             return tp(value)
         except ValueError:
-            raise ValidationError(f"{field}: {value!r} is not one of {[m.value for m in tp]}") from None
+            raise ValidationError(f"{field}: {_shown(value)} is not one of {[m.value for m in tp]}") from None
     if tp is Phasor:
         return _phasor_from_value(value, field)
     if tp is str:
         if not isinstance(value, str):
-            raise ValidationError(f"{field}: expected a string, got {value!r}")
+            raise ValidationError(f"{field}: expected a string, got {_shown(value)}")
         return value
     return _float(value, field)
 
@@ -181,7 +187,7 @@ def scenario_from_dict(raw: dict, name_fallback: str = "scenario") -> Scenario:
         raise ValidationError(f"scenario root must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version {version!r}")
+        raise ValidationError(f"unsupported schema_version {_shown(version)}")
     limiter = raw.get("limiter", {})
     if isinstance(limiter, dict) and limiter.get("alpha_vi") is not None:
         raise ValidationError(

@@ -21,6 +21,7 @@ from gfmswing import (
     line_distance,
     relay_step,
     run_scenario,
+    solve_faulted,
     solve_variable_vi_current,
     swing_derivatives,
     variable_vi_gain,
@@ -187,6 +188,24 @@ def test_fault_keeps_variable_vi_current_within_ceiling():
     during = (rec.t >= 0.2) & (rec.t < 0.45)
     assert during.any()
     assert rec.i_mag[during].max() <= SystemParams().i_max + 1e-3
+
+
+def test_valueless_fault_sits_mid_line():
+    # a fault_apply without a value sits at 0.5, even after a fault elsewhere
+    scn = make_scenario(
+        events=(
+            Event(0.1, EventKind.FAULT_APPLY, 0.2),
+            Event(0.2, EventKind.FAULT_CLEAR),
+            Event(0.3, EventKind.FAULT_APPLY),
+            Event(0.4, EventKind.FAULT_CLEAR),
+        ),
+        horizon=0.5,
+    )
+    rec = run_scenario(scn)
+    for fraction, start in ((0.2, 0.1), (0.5, 0.3)):
+        during = (rec.t > start + 0.05) & (rec.t < start + 0.1)
+        z = solve_faulted(0j, scn.system, fraction).z_apparent
+        assert np.all(rec.zapp_re[during] == z.real) and np.all(rec.zapp_im[during] == z.imag), fraction
 
 
 def test_record_channels_consistent():

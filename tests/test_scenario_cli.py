@@ -6,11 +6,14 @@ import json
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gfmswing import (
     ApclParams,
+    Blinder,
     Event,
     EventKind,
     LimiterConfig,
@@ -23,10 +26,11 @@ from gfmswing import (
     SystemParams,
     ValidationError,
     full_cycle,
+    run_scenario,
     p_delta_curve,
 )
 from gfmswing.cases import CASE_IDS, build_case, case_d_system
-from gfmswing.cli import main
+from gfmswing.cli import _first_swing_period, main
 from gfmswing.scenario import (
     MAX_STEPS,
     load_scenario,
@@ -273,6 +277,50 @@ def test_cli_sweep_inertia_slows_first_swing(tmp_path):
     assert by_h[9.0]["first_swing_period"] > by_h[3.0]["first_swing_period"]
 
 
+def _first_swing_period_walk(record):
+    """Oracle: the per-sample walk over the post-event angle for its first three crossings."""
+    if not record.events:
+        return None
+    mask = record.t >= min(ev.time for ev in record.events)
+    delta, t = record.delta[mask] - record.delta[0], record.t[mask]
+    crossings = [
+        t[k] for k in range(1, len(delta)) if delta[k - 1] * delta[k] <= 0.0 and delta[k - 1] != delta[k]
+    ]
+    return float(crossings[2] - crossings[0]) if len(crossings) >= 3 else None
+
+
+def _swing(delta, events=(Event(0.2, EventKind.PHASE_JUMP, 0.1),)):
+    """A hand-built record: ``delta`` sampled every 0.1 s."""
+    return SimpleNamespace(t=np.arange(len(delta)) * 0.1, delta=np.array(delta, float), events=events)
+
+
+FIRST_SWINGS = {
+    # base angle 0.5: each exact return to it ends one crossing and starts the next
+    "exact-zero": (_swing([0.5, 0.5, 1.0, 0.5, 0.0, 0.5, 1.0]), 0.2),
+    "flat-run": (_swing([0.5, 0.5, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0, 1.0]), 0.5),
+    "sign-changes": (_swing([0.5, 0.5, 1.0, 0.0, 1.0, 0.0]), 0.2),
+    "two-crossings": (_swing([0.5, 0.5, 1.0, 0.0, 0.0, 1.0]), None),
+    "never-crosses": (_swing([0.5, 0.5, 1.0, 1.0, 0.7]), None),
+    "no-events": (_swing([0.5, 1.0, 0.0, 1.0, 0.0], events=()), None),
+    "events-after-record": (_swing([0.5, 1.0, 0.0, 1.0], events=(Event(9.0, EventKind.POWER_STEP, 0.1),)), None),
+}
+
+
+@pytest.mark.parametrize(("record", "expected"), FIRST_SWINGS.values(), ids=FIRST_SWINGS.keys())
+def test_first_swing_period_hand_built(record, expected):
+    assert _first_swing_period(record) == _first_swing_period_walk(record)
+    assert _first_swing_period(record) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(("case_id", "swings"), [("caseA1", True), ("caseC1", True), ("caseC2", False)])
+def test_first_swing_period_matches_walk(case_id, swings):
+    # caseC2 never returns to its pre-event angle three times: no period either way
+    record = run_scenario(replace(build_case(case_id), dt=2e-3))
+    period = _first_swing_period(record)
+    assert (period is not None) == swings
+    assert period == _first_swing_period_walk(record)
+
+
 BAD_SCENARIOS = {
     "malformed-json": "{",
     "nan-dt": '{"horizon": 1.0, "dt": NaN}',
@@ -401,6 +449,31 @@ def test_cli_unusable_output_directory(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), command
 
 
+LONG = "x" * 300_000
+ECHOED_INPUTS = {
+    "200k-entry-system": {"horizon": 1.0, "system": [0] * 200_000},
+    "300k-char-name": {"horizon": 1.0, "name": LONG},
+    "300k-char-outputs": {"horizon": 1.0, "outputs": LONG},
+    "300k-char-schema_version": {"schema_version": LONG, "horizon": 1.0},
+    "300k-char-event-kind": {"horizon": 1.0, "events": [{"time": 0.5, "kind": LONG}]},
+    "300k-char-h": {"horizon": 1.0, "apcl": {"h": LONG}},
+    "300k-char-h-flag": ["sweep", "--case", "caseC1", "--h", LONG],
+}
+
+
+@pytest.mark.parametrize("given", ECHOED_INPUTS.values(), ids=ECHOED_INPUTS.keys())
+def test_cli_error_echo_is_bounded(tmp_path, monkeypatch, capsys, given):
+    # an error quotes a short prefix of the offending input, never all of it
+    monkeypatch.chdir(tmp_path)  # "out/<name>" lands here
+    argv = given
+    if isinstance(given, dict):
+        (tmp_path / "long.json").write_text(json.dumps(given))
+        argv = ["simulate", "--scenario", "long.json"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 1024, err[:200]
+
+
 NAN = float("nan")
 
 
@@ -424,12 +497,23 @@ NAN = float("nan")
         lambda: replace(build_case("caseA1"), dt=NAN),
         lambda: replace(build_case("caseA1"), horizon=float("inf")),
         lambda: replace(build_case("caseA1"), events=(Event(NAN, EventKind.PHASE_JUMP, -1.0),)),
+        lambda: MhoZone(Phasor(NAN, 0.5)),
+        lambda: MhoZone(Phasor(float("inf"), 0.5)),
+        lambda: MhoZone(Phasor(0.05, 0.48), time_delay=NAN),
+        lambda: MhoZone(Phasor(0.05, 0.48), time_delay=float("inf")),
+        lambda: Blinder(rgt=float("inf"), lft=-0.84, fwd=1.88, rev=-0.56, tilt_deg=84.94),
+        lambda: Blinder(rgt=0.84, lft=-float("inf"), fwd=1.88, rev=-0.56, tilt_deg=84.94),
+        lambda: Blinder(rgt=0.84, lft=-0.84, fwd=NAN, rev=-0.56, tilt_deg=84.94),
+        lambda: Blinder(rgt=0.84, lft=-0.84, fwd=1.88, rev=-float("inf"), tilt_deg=84.94),
+        lambda: Blinder(rgt=0.84, lft=-0.84, fwd=1.88, rev=-0.56, tilt_deg=NAN),
     ],
     ids=[
         "apcl-h", "apcl-d_p", "v_g_mag", "i_max",
         "i_max-huge", "z_g-huge", "currents-huge", "sources-huge", "sources-tiny", "currents-tiny",
         "e_ref-off-axis", "e_ref-zero",
         "kp", "k_vi", "dt", "horizon", "event-time",
+        "zone-reach-nan", "zone-reach-inf", "zone-delay-nan", "zone-delay-inf",
+        "blinder-rgt-inf", "blinder-lft-inf", "blinder-fwd-nan", "blinder-rev-inf", "blinder-tilt-nan",
     ],
 )
 def test_constructors_reject_non_finite(build):
