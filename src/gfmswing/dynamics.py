@@ -10,6 +10,7 @@ setpoint steps; the frequency deviation is hard-clamped after every step.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,13 +23,14 @@ from .limiter import (
     LimiterConfig,
     Strategy,
     ViValue,
+    _limited_magnitude,
     adaptive_vi_step,
     solve_limited_current,
     solve_variable_vi_current,
     variable_vi_gain,
     vi_gain_from_drop,
 )
-from .network import NetworkSolution, SystemParams, active_power, solve_faulted
+from .network import NetworkSolution, SystemParams, _pcc_power, _series_loop, active_power, solve_faulted
 from .relay import RelayState, relay_step
 
 
@@ -199,6 +201,8 @@ def initial_state(system: SystemParams, apcl: ApclParams, cfg: LimiterConfig) ->
         lo, p_lo = hi, p_hi
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the bracket can no longer shrink
+            break
         if p_of(mid) < p0:
             lo = mid
         else:
@@ -215,6 +219,12 @@ def run_scenario(scenario) -> SimulationRecord:
     then advances. The relay never acts back on the swing, so it walks the
     recorded impedance afterwards; an undefined impedance is recorded as NaN
     and lies outside every characteristic.
+
+    The stages solve the loop from per-run floats with the same limited root
+    and loop algebra as ``electrical_power``, bit for bit: four limited solves
+    per healthy step (the first stage reuses the last sample unless an event
+    fired or the gain moved), and one per faulted step, whose loop does not
+    depend on the angle.
     """
     system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
     events = validate_events(scenario.events)
@@ -222,6 +232,8 @@ def run_scenario(scenario) -> SimulationRecord:
     n = int(round(scenario.horizon / dt)) + 1
     adaptive_pi = cfg.strategy is Strategy.ADAPTIVE_VI
     clamp = apcl.freq_clamp
+    e_ref, v_g_mag, i_th, alpha = complex(system.e_ref), system.v_g_mag, system.i_th, system.vi_ratio
+    z_sigma, z_relay = complex(system.z_sigma), complex(system.z_relay_to_grid)
 
     t_arr, delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (
         np.empty(n) for _ in range(9)
@@ -233,14 +245,21 @@ def run_scenario(scenario) -> SimulationRecord:
     omega, t, p0 = 0.0, 0.0, apcl.p0
     faulted, frac, next_event = False, 0.5, 0
     adaptive = AdaptiveState()
+    gain = _limiter_gain(cfg, adaptive, system)
 
-    def rates(d: float, w: float) -> tuple[float, float]:
-        p_e = electrical_power(d, gain, system, faulted, frac)[0]
-        return swing_derivatives(w, p0, p_e, apcl)
+    def evaluate(d: float) -> tuple[float, float, complex | None, float]:
+        """p_e, |I|, apparent impedance and VI resistance at angle ``d`` under the step's gain."""
+        if faulted:
+            return fault_sample
+        v_far = v_g_mag * cmath.exp(-1j * d)
+        m = _limited_magnitude(abs(e_ref - v_far), z_sigma, gain, alpha, i_th)
+        r_vi = gain * (m - i_th) if m > i_th else 0.0
+        current, v_pcc, _, z = _series_loop(v_far, complex(r_vi, alpha * r_vi), e_ref, z_sigma, z_relay)
+        return _pcc_power(v_pcc, current), abs(current), z, r_vi
 
     for k in range(n):
-        gain = _limiter_gain(cfg, adaptive, system)
         if k:
+            seen = next_event
             while next_event < len(events) and events[next_event].time <= t + 0.5 * dt:
                 ev = events[next_event]
                 next_event += 1
@@ -252,10 +271,15 @@ def run_scenario(scenario) -> SimulationRecord:
                     faulted = False
                 else:
                     p0 += ev.value
-            k1w, k1d = rates(delta, omega)
-            k2w, k2d = rates(delta + 0.5 * dt * k1d, omega + 0.5 * dt * k1w)
-            k3w, k3d = rates(delta + 0.5 * dt * k2d, omega + 0.5 * dt * k2w)
-            k4w, k4d = rates(delta + dt * k3d, omega + dt * k3w)
+            if faulted:
+                p_e, sol, vi = electrical_power(delta, gain, system, True, frac)
+                sample = fault_sample = p_e, abs(sol.current), sol.z_apparent, vi.r_vi
+            elif next_event != seen or gain != sample_gain:
+                sample = evaluate(delta)
+            k1w, k1d = swing_derivatives(omega, p0, sample[0], apcl)
+            k2w, k2d = swing_derivatives(omega + 0.5 * dt * k1w, p0, evaluate(delta + 0.5 * dt * k1d)[0], apcl)
+            k3w, k3d = swing_derivatives(omega + 0.5 * dt * k2w, p0, evaluate(delta + 0.5 * dt * k2d)[0], apcl)
+            k4w, k4d = swing_derivatives(omega + dt * k3w, p0, evaluate(delta + dt * k3d)[0], apcl)
             delta += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             omega += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             omega = min(max(omega, -clamp), clamp)
@@ -263,18 +287,19 @@ def run_scenario(scenario) -> SimulationRecord:
             if not math.isfinite(delta + omega):
                 raise ValidationError(f"the swing diverged at t={t!r} s; dt={dt!r} is too coarse")
 
-        p_e, sol, vi = electrical_power(delta, gain, system, faulted, frac)
+        sample, sample_gain = evaluate(delta), gain
+        p_e, i_mag, z, r_vi = sample
         t_arr[k] = t
         delta_arr[k] = delta
         omega_arr[k] = omega
-        imag_arr[k] = abs(sol.current)
-        z = sol.z_apparent
+        imag_arr[k] = i_mag
         zre_arr[k], zim_arr[k] = (math.nan, math.nan) if z is None else (z.real, z.imag)
         pe_arr[k] = p_e
-        vir_arr[k] = vi.r_vi
-        vix_arr[k] = vi.x_vi
+        vir_arr[k] = r_vi
+        vix_arr[k] = alpha * r_vi
         if k and adaptive_pi:
-            adaptive = adaptive_vi_step(adaptive, abs(sol.current), dt, cfg, system.i_max)
+            adaptive = adaptive_vi_step(adaptive, i_mag, dt, cfg, system.i_max)
+            gain = _limiter_gain(cfg, adaptive, system)
 
     relay_events = ()
     if scenario.relay is not None:

@@ -116,32 +116,35 @@ def vi_drop(vi: ViValue, i_dq: complex) -> complex:
 
 
 def solve_limited_current(
-    drive: complex,
-    z_ext: complex,
-    gain: float,
-    alpha_vi: float,
-    i_th: float,
+    drive: complex, z_ext: complex, gain: float, alpha_vi: float, i_th: float
 ) -> tuple[float, ViValue]:
-    """Current magnitude of the implicit loop I = drive / (z_ext + Z_vi(|I|)).
+    """Current magnitude of the implicit loop I = drive / (z_ext + Z_vi(|I|)),
+    and the virtual impedance it implies (see ``_limited_magnitude``)."""
+    m = _limited_magnitude(abs(drive), z_ext, gain, alpha_vi, i_th)
+    return m, vi_from_current(m, gain, alpha_vi, i_th) if gain > 0.0 else ViValue()
+
+
+def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: float, i_th: float) -> float:
+    """Root of the limited loop for a drive of magnitude ``e_mag``.
 
     The virtual impedance grows linearly with the overshoot past ``i_th``
     along a fixed direction, so the scalar residual
-    ``m * |z_ext + gain*(m - i_th)*(1 + j*alpha)| - |drive|`` is monotone in
+    ``m * |z_ext + gain*(m - i_th)*(1 + j*alpha)| - e_mag`` is monotone in
     ``m`` and the limited root is unique. A safeguarded Newton iteration
     (rtsafe, Numerical Recipes 9.4) starts at the right end of the bracket,
     where the convex residual makes it descend monotonically, and falls back
-    to bisection whenever a step would leave the bracket.
+    to bisection whenever a step would leave the bracket. Also the limited
+    solve of ``dynamics.run_scenario``.
     """
-    e_mag = abs(drive)
     if e_mag == 0.0:
-        return 0.0, ViValue()
+        return 0.0
     z_ext_mag = abs(z_ext)
     if gain <= 0.0:
         if z_ext_mag < 1e-12:
             raise DegenerateCircuit("no external impedance and no virtual impedance")
-        return e_mag / z_ext_mag, ViValue()
+        return e_mag / z_ext_mag
     if z_ext_mag > 0.0 and e_mag / z_ext_mag <= i_th:
-        return e_mag / z_ext_mag, ViValue()
+        return e_mag / z_ext_mag
 
     r_ext, x_ext = z_ext.real, z_ext.imag
     lo = i_th
@@ -169,7 +172,7 @@ def solve_limited_current(
             step = m - 0.5 * (lo + hi)
         m -= step
         if abs(step) < SOLVE_TOL:
-            return m, vi_from_current(m, gain, alpha_vi, i_th)
+            return m
 
     raise NoConvergence(f"implicit current solve stalled at m={m!r}", residual=residual)
 

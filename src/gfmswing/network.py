@@ -135,15 +135,21 @@ def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkS
     limiter; pass 0 for the unlimited case. Raises ``DegenerateCircuit``
     when the total loop impedance vanishes.
     """
-    z_total = params.z_sigma + z_vi
-    if abs(z_total) < 1e-12:
-        raise DegenerateCircuit(f"|z_sigma + z_vi| = {abs(z_total):.3e} at delta={delta!r}")
     v_far = params.v_g_mag * cmath.exp(-1j * delta)
-    current = (params.e_ref - v_far) / z_total
-    v_pcc = v_far + params.z_sigma * current
-    v_relay = v_far + params.z_relay_to_grid * current
+    return NetworkSolution(*_series_loop(v_far, z_vi, params.e_ref, params.z_sigma, params.z_relay_to_grid))
+
+
+def _series_loop(v_far: complex, z_vi: complex, e_ref: complex, z_sigma: complex, z_relay: complex) -> tuple:
+    """``NetworkSolution`` fields of the healthy loop with the grid source at ``v_far``;
+    also the loop algebra of ``dynamics.run_scenario``."""
+    z_total = z_sigma + z_vi
+    if abs(z_total) < 1e-12:
+        raise DegenerateCircuit(f"|z_sigma + z_vi| = {abs(z_total):.3e} with the grid source at {v_far!r}")
+    current = (e_ref - v_far) / z_total
+    v_pcc = v_far + z_sigma * current
+    v_relay = v_far + z_relay * current
     z_apparent = None if abs(current) < ZERO_CURRENT_TOL else v_relay / current
-    return NetworkSolution(current, v_pcc, v_relay, z_apparent)
+    return current, v_pcc, v_relay, z_apparent
 
 
 def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) -> NetworkSolution:
@@ -169,4 +175,8 @@ def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) ->
 
 def active_power(sol: NetworkSolution) -> float:
     """Active power injected at the PCC: real part of V_pcc times conjugated current."""
-    return (sol.v_pcc * sol.current.conjugate()).real
+    return _pcc_power(sol.v_pcc, sol.current)
+
+
+def _pcc_power(v_pcc: complex, current: complex) -> float:
+    return (v_pcc * current.conjugate()).real

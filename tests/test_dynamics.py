@@ -1,4 +1,5 @@
-"""Dynamics tests: swing derivatives, integrator quality, events, records."""
+"""Dynamics tests: swing derivatives, integrator quality, events, records,
+and the integration kernel against the reference integrator."""
 
 import math
 from dataclasses import replace
@@ -7,14 +8,21 @@ import numpy as np
 import pytest
 
 from gfmswing import (
+    AdaptiveState,
     ApclParams,
+    DegenerateCircuit,
     Event,
     EventKind,
     LimiterConfig,
+    NoConvergence,
+    Phasor,
+    RelaySettings,
     RelayState,
+    SimulationRecord,
     Strategy,
     SystemParams,
     ValidationError,
+    adaptive_vi_step,
     critical_angle,
     electrical_power,
     initial_state,
@@ -26,8 +34,9 @@ from gfmswing import (
     swing_derivatives,
     variable_vi_gain,
 )
-from gfmswing.cases import build_case
-from gfmswing.dynamics import validate_events
+from gfmswing import dynamics, limiter
+from gfmswing.cases import CASE_IDS, build_case
+from gfmswing.dynamics import _limiter_gain, validate_events
 from gfmswing.scenario import Scenario
 
 
@@ -285,3 +294,217 @@ def test_initial_state_rejects_excess_setpoint():
     system = SystemParams()
     with pytest.raises(ValidationError):
         initial_state(system, ApclParams(h=7.0, d_p=0.05, p0=1.5), LimiterConfig())
+
+
+# --- the integration kernel against the reference integrator ---------------
+
+
+def reference_initial_state(system, apcl, cfg):
+    """Equilibrium angle by a fixed 100-step bisection: ``initial_state`` before its early exit."""
+    p0 = apcl.p0
+    if p0 <= 0.0:
+        raise ValidationError("initial power setpoint must be positive")
+    gain = _limiter_gain(cfg, AdaptiveState(), system)
+
+    def p_of(d: float) -> float:
+        return electrical_power(d, gain, system)[0]
+
+    n_scan = 720
+    lo = p_lo = 0.0
+    for k in range(1, n_scan + 1):
+        hi = math.pi * k / n_scan
+        p_hi = p_of(hi)
+        if p_hi >= p0:
+            break
+        if p_hi < p_lo or k == n_scan:  # past the peak, or the scan is exhausted
+            raise ValidationError(
+                f"setpoint p0={p0!r} exceeds the deliverable power of the configured strategy"
+            )
+        lo, p_lo = hi, p_hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if p_of(mid) < p0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_run(scenario) -> SimulationRecord:
+    """The RK4 loop with one ``electrical_power`` per stage and per sample, five per step."""
+    system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
+    events = validate_events(scenario.events)
+    dt = scenario.dt
+    n = int(round(scenario.horizon / dt)) + 1
+    adaptive_pi = cfg.strategy is Strategy.ADAPTIVE_VI
+    clamp = apcl.freq_clamp
+
+    t_arr, delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (
+        np.empty(n) for _ in range(9)
+    )
+    psb_arr = np.zeros(n, dtype=bool)
+    ost_arr = np.zeros(n, dtype=bool)
+
+    delta = reference_initial_state(system, apcl, cfg)
+    omega, t, p0 = 0.0, 0.0, apcl.p0
+    faulted, frac, next_event = False, 0.5, 0
+    adaptive = AdaptiveState()
+
+    def rates(d: float, w: float) -> tuple[float, float]:
+        p_e = electrical_power(d, gain, system, faulted, frac)[0]
+        return swing_derivatives(w, p0, p_e, apcl)
+
+    for k in range(n):
+        gain = _limiter_gain(cfg, adaptive, system)
+        if k:
+            while next_event < len(events) and events[next_event].time <= t + 0.5 * dt:
+                ev = events[next_event]
+                next_event += 1
+                if ev.kind is EventKind.PHASE_JUMP:
+                    delta += ev.value
+                elif ev.kind is EventKind.FAULT_APPLY:
+                    faulted, frac = True, 0.5 if ev.value is None else ev.value
+                elif ev.kind is EventKind.FAULT_CLEAR:
+                    faulted = False
+                else:
+                    p0 += ev.value
+            k1w, k1d = rates(delta, omega)
+            k2w, k2d = rates(delta + 0.5 * dt * k1d, omega + 0.5 * dt * k1w)
+            k3w, k3d = rates(delta + 0.5 * dt * k2d, omega + 0.5 * dt * k2w)
+            k4w, k4d = rates(delta + dt * k3d, omega + dt * k3w)
+            delta += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            omega += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            omega = min(max(omega, -clamp), clamp)
+            t += dt
+            if not math.isfinite(delta + omega):
+                raise ValidationError(f"the swing diverged at t={t!r} s; dt={dt!r} is too coarse")
+
+        p_e, sol, vi = electrical_power(delta, gain, system, faulted, frac)
+        t_arr[k] = t
+        delta_arr[k] = delta
+        omega_arr[k] = omega
+        imag_arr[k] = abs(sol.current)
+        z = sol.z_apparent
+        zre_arr[k], zim_arr[k] = (math.nan, math.nan) if z is None else (z.real, z.imag)
+        pe_arr[k] = p_e
+        vir_arr[k] = vi.r_vi
+        vix_arr[k] = vi.x_vi
+        if k and adaptive_pi:
+            adaptive = adaptive_vi_step(adaptive, abs(sol.current), dt, cfg, system.i_max)
+
+    relay_events = ()
+    if scenario.relay is not None:
+        relay = RelayState()
+        for k in range(n):
+            z = complex(zre_arr[k], zim_arr[k])
+            relay = relay_step(relay, z, float(t_arr[k]), dt, scenario.relay)
+            psb_arr[k] = relay.psb_asserted
+            ost_arr[k] = relay.ost_tripped
+        relay_events = relay.event_log
+
+    return SimulationRecord(
+        t=t_arr,
+        delta=delta_arr,
+        omega_dev=omega_arr,
+        i_mag=imag_arr,
+        zapp_re=zre_arr,
+        zapp_im=zim_arr,
+        p_e=pe_arr,
+        vi_r=vir_arr,
+        vi_x=vix_arr,
+        psb=psb_arr,
+        ost=ost_arr,
+        relay_events=relay_events,
+        events=events,
+        dt=dt,
+    )
+
+
+CRITERION_11 = make_scenario(
+    apcl=ApclParams(h=7.0, d_p=0.05, p0=0.7),
+    limiter=LimiterConfig(strategy=Strategy.VARIABLE_VI),
+    events=(Event(1.0, EventKind.FAULT_APPLY, 0.5), Event(1.25, EventKind.FAULT_CLEAR)),
+    horizon=20.0,
+    relay=RelaySettings.table1(),
+)
+# every event kind, a valueless fault and a k_vi override in one run
+MIXED = make_scenario(
+    apcl=ApclParams(h=5.0, d_p=0.05, p0=0.6),
+    limiter=LimiterConfig(strategy=Strategy.VARIABLE_VI, k_vi=0.3),
+    events=(
+        Event(0.5, EventKind.PHASE_JUMP, 0.9),
+        Event(2.0, EventKind.POWER_STEP, 0.05),
+        Event(3.0, EventKind.FAULT_APPLY),
+        Event(3.15, EventKind.FAULT_CLEAR),
+    ),
+    horizon=6.0,
+    relay=RelaySettings(),
+)
+KERNEL_SCENARIOS = {**{case: build_case(case) for case in CASE_IDS}, "criterion11": CRITERION_11, "mixed": MIXED}
+RECORD_FIELDS = ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x", "psb", "ost")
+
+
+@pytest.mark.parametrize("name", KERNEL_SCENARIOS)
+def test_kernel_matches_reference_integrator(name):
+    scn = replace(KERNEL_SCENARIOS[name], dt=2e-3)
+    got, want = run_scenario(scn), reference_run(scn)
+    for field in RECORD_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+    assert got.relay_events == want.relay_events
+    if name == "mixed":
+        assert (got.vi_r > 0.0).any() and got.relay_events
+
+
+RAISING = {
+    "degenerate": (
+        {"system": SystemParams(z_tr=Phasor(0.1, 0.1), z_l=Phasor(0.1, 0.1), z_g=Phasor(-0.2, -0.2))},
+        DegenerateCircuit,
+        limiter.MAX_SOLVE_ITER,
+    ),
+    # one Newton step cannot converge once the jump activates the VI
+    "no-convergence": (
+        {
+            "limiter": LimiterConfig(strategy=Strategy.VARIABLE_VI),
+            "events": (Event(0.01, EventKind.PHASE_JUMP, 0.9),),
+            "horizon": 0.1,
+        },
+        NoConvergence,
+        1,
+    ),
+    "diverged": ({"events": OVERFLOWING_STEPS}, ValidationError, limiter.MAX_SOLVE_ITER),
+}
+
+
+@pytest.mark.parametrize("name", RAISING)
+def test_kernel_raises_like_reference(name, monkeypatch):
+    overrides, error, max_iter = RAISING[name]
+    monkeypatch.setattr(limiter, "MAX_SOLVE_ITER", max_iter)
+    scn = make_scenario(**overrides)
+    with pytest.raises(error) as got:
+        run_scenario(scn)
+    with pytest.raises(error) as want:
+        reference_run(scn)
+    assert str(got.value) == str(want.value)
+
+
+def test_kernel_limited_solve_count(monkeypatch):
+    # 4 limited solves per healthy step without an event (k1 reuses the last
+    # sample), 5 on the fault-clearing step, 1 per faulted step
+    calls = 0
+    solve = limiter._limited_magnitude
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(limiter, "_limited_magnitude", counted)
+    monkeypatch.setattr(dynamics, "_limited_magnitude", counted)
+    scn = replace(build_case("caseB2"), dt=2e-3, relay=None)
+    initial_state(scn.system, scn.apcl, scn.limiter)
+    setup, calls = calls, 0
+    rec = run_scenario(scn)
+    applied, cleared = (ev.time for ev in scn.events)
+    faulted = round((cleared - applied) / scn.dt)
+    healthy = len(rec) - 1 - faulted - 1  # steps without an event
+    assert calls == setup + 1 + 4 * healthy + 5 + faulted  # the first sample is one more
