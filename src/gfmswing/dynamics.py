@@ -123,7 +123,7 @@ class SimulationRecord:
     vi_x: np.ndarray
     psb: np.ndarray
     ost: np.ndarray
-    relay_events: tuple[tuple[float, str, str], ...]
+    relay_events: list[tuple[float, str, str]]
     events: tuple[Event, ...]
     dt: float
 
@@ -301,15 +301,12 @@ def run_scenario(scenario) -> SimulationRecord:
             adaptive = adaptive_vi_step(adaptive, i_mag, dt, cfg, system.i_max)
             gain = _limiter_gain(cfg, adaptive, system)
 
-    relay_events = ()
+    relay = RelayState()
     if scenario.relay is not None:
-        relay = RelayState()
         for k in range(n):
-            z = complex(zre_arr[k], zim_arr[k])
-            relay = relay_step(relay, z, float(t_arr[k]), dt, scenario.relay)
+            relay_step(relay, complex(zre_arr[k], zim_arr[k]), float(t_arr[k]), dt, scenario.relay)
             psb_arr[k] = relay.psb_asserted
             ost_arr[k] = relay.ost_tripped
-        relay_events = relay.event_log
 
     return SimulationRecord(
         t=t_arr,
@@ -323,7 +320,7 @@ def run_scenario(scenario) -> SimulationRecord:
         vi_x=vix_arr,
         psb=psb_arr,
         ost=ost_arr,
-        relay_events=relay_events,
+        relay_events=relay.event_log,
         events=events,
         dt=dt,
     )

@@ -10,7 +10,7 @@ transits are classified as faults and leave the zones free to operate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .network import Phasor
 
@@ -121,25 +121,26 @@ class RelaySettings:
         return cls()
 
 
-@dataclass(frozen=True)
+@dataclass
 class RelayState:
     """Occupancy, timers and latched decisions of one relay instance.
 
-    The per-zone tuples start empty and take one entry per zone of the
-    settings at the first ``relay_step``.
+    ``relay_step`` advances it in place. The per-zone lists start empty and
+    take one entry per zone of the settings at the first ``relay_step``;
+    ``event_log`` holds one ``(t, event, element)`` tuple per event.
     """
 
     in_outer: bool = False
     in_middle: bool = False
     in_inner: bool = False
-    in_zone: tuple[bool, ...] = ()
-    zone_timers: tuple[float, ...] = ()
-    zone_tripped: tuple[bool, ...] = ()
+    in_zone: list[bool] = field(default_factory=list)
+    zone_timers: list[float] = field(default_factory=list)
+    zone_tripped: list[bool] = field(default_factory=list)
     outer_entry_time: float | None = None
     psb_asserted: bool = False
     ost_tripped: bool = False
     ost_this_episode: bool = False
-    event_log: tuple[tuple[float, str, str], ...] = ()
+    event_log: list[tuple[float, str, str]] = field(default_factory=list)
 
 
 def relay_step(
@@ -149,7 +150,7 @@ def relay_step(
     dt: float,
     settings: RelaySettings,
 ) -> RelayState:
-    """Advance the relay by one sample of measured apparent impedance.
+    """Advance ``state`` in place by one sample of measured apparent impedance; returns it.
 
     ``z`` may be ``None`` (or NaN) when the impedance is undefined; the
     point is then treated as lying outside every characteristic.
@@ -159,80 +160,44 @@ def relay_step(
     in_outer = blinder_contains(z, settings.outer)
     in_middle = blinder_contains(z, settings.middle)
     in_inner = blinder_contains(z, settings.inner)
+    log = state.event_log
 
-    log: list[tuple[float, str, str]] = []
-    outer_entry_time = state.outer_entry_time
-    psb = state.psb_asserted
-    ost_episode = state.ost_this_episode
-    ost_tripped = state.ost_tripped
-
-    if in_outer and not state.in_outer:
-        outer_entry_time = t
-        log.append((t, "enter", "outer"))
-    elif not in_outer and state.in_outer:
-        log.append((t, "exit", "outer"))
-        outer_entry_time = None
-        if psb:
-            psb = False
-            ost_episode = False
+    if in_outer != state.in_outer:
+        log.append((t, "enter" if in_outer else "exit", "outer"))
+        state.outer_entry_time = t if in_outer else None
+        if not in_outer and state.psb_asserted:
+            state.psb_asserted = state.ost_this_episode = False
             log.append((t, "psb_deassert", "outer"))
 
     psb_just_asserted = False
-    if in_middle and not state.in_middle:
-        log.append((t, "enter", "middle"))
-        if not psb:
-            transit = t - outer_entry_time if outer_entry_time is not None else 0.0
-            if transit > settings.delta_t_psb:
-                psb = True
-                psb_just_asserted = True
-                log.append((t, "psb_assert", "middle"))
-            else:
-                log.append((t, "fault_classified", "middle"))
-    elif not in_middle and state.in_middle:
-        log.append((t, "exit", "middle"))
+    if in_middle != state.in_middle:
+        log.append((t, "enter" if in_middle else "exit", "middle"))
+        if in_middle and not state.psb_asserted:
+            entry = state.outer_entry_time
+            psb_just_asserted = (t - entry if entry is not None else 0.0) > settings.delta_t_psb
+            state.psb_asserted = psb_just_asserted
+            log.append((t, "psb_assert" if psb_just_asserted else "fault_classified", "middle"))
 
-    if in_inner and not state.in_inner:
-        log.append((t, "enter", "inner"))
-    elif not in_inner and state.in_inner:
-        log.append((t, "exit", "inner"))
-
-    if psb and in_inner and (not state.in_inner or psb_just_asserted) and not ost_episode:
-        ost_tripped = True
-        ost_episode = True
+    if in_inner != state.in_inner:
+        log.append((t, "enter" if in_inner else "exit", "inner"))
+    if (state.psb_asserted and in_inner and (not state.in_inner or psb_just_asserted)
+            and not state.ost_this_episode):
+        state.ost_tripped = state.ost_this_episode = True
         log.append((t, "ost_trip", "inner"))
+    state.in_outer, state.in_middle, state.in_inner = in_outer, in_middle, in_inner
 
-    n_zones = len(settings.zones)
-    in_zone = list(state.in_zone or (False,) * n_zones)
-    timers = list(state.zone_timers or (0.0,) * n_zones)
-    tripped = list(state.zone_tripped or (False,) * n_zones)
+    if not state.in_zone:
+        n = len(settings.zones)
+        state.in_zone, state.zone_timers, state.zone_tripped = [False] * n, [0.0] * n, [False] * n
+    in_zone, timers, tripped = state.in_zone, state.zone_timers, state.zone_tripped
     for k, zone in enumerate(settings.zones):
-        inside = (not psb) and mho_contains(z, zone)
-        zone_id = f"zone{k + 1}"
-        if inside and not in_zone[k]:
-            log.append((t, "enter", zone_id))
-            timers[k] = 0.0
-            tripped[k] = False
-        elif not inside and in_zone[k]:
-            log.append((t, "exit", zone_id))
-            timers[k] = 0.0
-            tripped[k] = False
+        inside = not state.psb_asserted and mho_contains(z, zone)
+        if inside != in_zone[k]:
+            log.append((t, "enter" if inside else "exit", f"zone{k + 1}"))
+            in_zone[k], timers[k], tripped[k] = inside, 0.0, False
         elif inside:
             timers[k] += dt
         if inside and not tripped[k] and timers[k] >= zone.time_delay:
             tripped[k] = True
-            log.append((t, "trip", zone_id))
-        in_zone[k] = inside
-
-    return RelayState(
-        in_outer=in_outer,
-        in_middle=in_middle,
-        in_inner=in_inner,
-        in_zone=tuple(in_zone),
-        zone_timers=tuple(timers),
-        zone_tripped=tuple(tripped),
-        outer_entry_time=outer_entry_time,
-        psb_asserted=psb,
-        ost_tripped=ost_tripped,
-        ost_this_episode=ost_episode,
-        event_log=state.event_log + tuple(log) if log else state.event_log,
-    )
+            log.append((t, "trip", f"zone{k + 1}"))
+    return state

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -57,11 +58,17 @@ class Scenario:
             problems.append(
                 f"horizon/dt = {self.horizon / self.dt:.3g} steps exceeds the cap of {MAX_STEPS}"
             )
-        if self.events:
+        if self.events and not problems:
+            # a step applies the events due by half a step after its start, and the last
+            # of the horizon/dt steps starts at (steps - 1)*dt on a clock summed step by step,
+            # whose rounding error stays below steps * (steps*dt) * eps
             t_last = max(ev.time for ev in self.events)
-            if self.horizon <= t_last:
+            steps = round(self.horizon / self.dt)
+            t_due = (steps - 0.5 - steps * steps * sys.float_info.epsilon) * self.dt
+            if t_last > t_due:
                 problems.append(
-                    f"horizon {self.horizon!r} must exceed the last event time {t_last!r}"
+                    f"event time {t_last!r} s is past {t_due!r} s, the last time a step can apply it "
+                    f"(horizon = {self.horizon!r} s, dt = {self.dt!r} s)"
                 )
         if self.apcl.p0 <= 0.0:
             problems.append("apcl.p0 (initial power setpoint) must be positive")

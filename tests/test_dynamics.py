@@ -290,6 +290,17 @@ def test_scenario_rejects_dt_past_the_damping_pole():
     assert replace(base, apcl=replace(base.apcl, d_p=1e-3)).apcl.d_p == 1e-3
 
 
+def test_scenario_rejects_an_event_no_step_applies():
+    # the last step of a 1 s run at dt = 5e-4 starts at 0.9995 s and applies the
+    # events due by 0.99975 s: a jump at 0.9996 s moves the final angle, and one
+    # at 0.9999 s would never act
+    quiet = run_scenario(make_scenario())
+    late = run_scenario(make_scenario(events=(Event(0.9996, EventKind.PHASE_JUMP, 0.5),)))
+    assert late.delta[-1] - quiet.delta[-1] == pytest.approx(0.5, abs=1e-3)
+    with pytest.raises(ValidationError, match=r"event time 0\.9999 s is past 0\.9997\d* s"):
+        make_scenario(events=(Event(0.9999, EventKind.PHASE_JUMP, 0.5),))
+
+
 def test_initial_state_rejects_excess_setpoint():
     system = SystemParams()
     with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Relay engine tests: characteristics, PSB/OST state machine, zones."""
 
 import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from gfmswing import (
     blinder_contains,
     mho_contains,
     relay_step,
+    run_scenario,
 )
+from gfmswing.cases import CASE_IDS, build_case
+from test_dynamics import CRITERION_11, MIXED
 
 DT = 5e-4
 
@@ -192,13 +196,18 @@ def test_determinism():
     assert a == b
 
 
-def test_ost_never_precedes_psb_in_episode_random_walks():
-    settings = RelaySettings.table1()
+def random_walks():
+    """Twenty seeded impedance walks of 3000 samples across the blinders."""
     rng = np.random.default_rng(123)
     for trial in range(20):
         steps = rng.normal(scale=0.03, size=3000)
         walk = np.cumsum(steps) + rng.uniform(0.5, 1.5)
-        points = [complex(float(u), float(rng.uniform(-0.2, 1.0))) for u in walk]
+        yield [complex(float(u), float(rng.uniform(-0.2, 1.0))) for u in walk]
+
+
+def test_ost_never_precedes_psb_in_episode_random_walks():
+    settings = RelaySettings.table1()
+    for points in random_walks():
         state = run_stream(points, settings)
         asserted = False
         for _, event, _ in state.event_log:
@@ -208,3 +217,168 @@ def test_ost_never_precedes_psb_in_episode_random_walks():
                 asserted = False
             elif event == "ost_trip":
                 assert asserted, "out-of-step trip outside a blocking episode"
+
+
+# --- the in-place relay against the frozen relay it replaced ------------------
+
+
+@dataclass(frozen=True)
+class ReferenceRelayState:
+    """Occupancy, timers and latched decisions of one relay instance.
+
+    The per-zone tuples start empty and take one entry per zone of the
+    settings at the first ``relay_step``.
+    """
+
+    in_outer: bool = False
+    in_middle: bool = False
+    in_inner: bool = False
+    in_zone: tuple[bool, ...] = ()
+    zone_timers: tuple[float, ...] = ()
+    zone_tripped: tuple[bool, ...] = ()
+    outer_entry_time: float | None = None
+    psb_asserted: bool = False
+    ost_tripped: bool = False
+    ost_this_episode: bool = False
+    event_log: tuple[tuple[float, str, str], ...] = ()
+
+
+def reference_relay_step(
+    state: ReferenceRelayState,
+    z: complex | None,
+    t: float,
+    dt: float,
+    settings: RelaySettings,
+) -> ReferenceRelayState:
+    """Advance the relay by one sample of measured apparent impedance.
+
+    ``z`` may be ``None`` (or NaN) when the impedance is undefined; the
+    point is then treated as lying outside every characteristic.
+    """
+    if z is None:
+        z = complex(float("nan"), float("nan"))
+    in_outer = blinder_contains(z, settings.outer)
+    in_middle = blinder_contains(z, settings.middle)
+    in_inner = blinder_contains(z, settings.inner)
+
+    log: list[tuple[float, str, str]] = []
+    outer_entry_time = state.outer_entry_time
+    psb = state.psb_asserted
+    ost_episode = state.ost_this_episode
+    ost_tripped = state.ost_tripped
+
+    if in_outer and not state.in_outer:
+        outer_entry_time = t
+        log.append((t, "enter", "outer"))
+    elif not in_outer and state.in_outer:
+        log.append((t, "exit", "outer"))
+        outer_entry_time = None
+        if psb:
+            psb = False
+            ost_episode = False
+            log.append((t, "psb_deassert", "outer"))
+
+    psb_just_asserted = False
+    if in_middle and not state.in_middle:
+        log.append((t, "enter", "middle"))
+        if not psb:
+            transit = t - outer_entry_time if outer_entry_time is not None else 0.0
+            if transit > settings.delta_t_psb:
+                psb = True
+                psb_just_asserted = True
+                log.append((t, "psb_assert", "middle"))
+            else:
+                log.append((t, "fault_classified", "middle"))
+    elif not in_middle and state.in_middle:
+        log.append((t, "exit", "middle"))
+
+    if in_inner and not state.in_inner:
+        log.append((t, "enter", "inner"))
+    elif not in_inner and state.in_inner:
+        log.append((t, "exit", "inner"))
+
+    if psb and in_inner and (not state.in_inner or psb_just_asserted) and not ost_episode:
+        ost_tripped = True
+        ost_episode = True
+        log.append((t, "ost_trip", "inner"))
+
+    n_zones = len(settings.zones)
+    in_zone = list(state.in_zone or (False,) * n_zones)
+    timers = list(state.zone_timers or (0.0,) * n_zones)
+    tripped = list(state.zone_tripped or (False,) * n_zones)
+    for k, zone in enumerate(settings.zones):
+        inside = (not psb) and mho_contains(z, zone)
+        zone_id = f"zone{k + 1}"
+        if inside and not in_zone[k]:
+            log.append((t, "enter", zone_id))
+            timers[k] = 0.0
+            tripped[k] = False
+        elif not inside and in_zone[k]:
+            log.append((t, "exit", zone_id))
+            timers[k] = 0.0
+            tripped[k] = False
+        elif inside:
+            timers[k] += dt
+        if inside and not tripped[k] and timers[k] >= zone.time_delay:
+            tripped[k] = True
+            log.append((t, "trip", zone_id))
+        in_zone[k] = inside
+
+    return ReferenceRelayState(
+        in_outer=in_outer,
+        in_middle=in_middle,
+        in_inner=in_inner,
+        in_zone=tuple(in_zone),
+        zone_timers=tuple(timers),
+        zone_tripped=tuple(tripped),
+        outer_entry_time=outer_entry_time,
+        psb_asserted=psb,
+        ost_tripped=ost_tripped,
+        ost_this_episode=ost_episode,
+        event_log=state.event_log + tuple(log) if log else state.event_log,
+    )
+
+
+def typed(log):
+    """Log entries with the type of each element, so ``1`` and ``1.0`` differ."""
+    return [tuple((type(x), x) for x in entry) for entry in log]
+
+
+def assert_relays_agree(samples, dt, settings) -> int:
+    """Walk both relays over ``(t, z)`` samples: the per-sample state, the decisions
+    and the event log (entries, order and element types) must agree. Returns the
+    number of events logged."""
+    ref, state = ReferenceRelayState(), RelayState()
+    for k, (t, z) in enumerate(samples):
+        ref = reference_relay_step(ref, z, t, dt, settings)
+        assert relay_step(state, z, t, dt, settings) is state
+        for f in fields(RelayState):
+            if f.name != "event_log":
+                got, want = getattr(state, f.name), getattr(ref, f.name)
+                assert (tuple(got) if isinstance(got, list) else got) == want, (k, f.name)
+    assert typed(state.event_log) == typed(ref.event_log)
+    return len(state.event_log)
+
+
+RECORDED = {**{case: build_case(case) for case in CASE_IDS}, "criterion11": CRITERION_11, "mixed": MIXED}
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_relay_matches_reference_on_recorded_impedance(name):
+    scn = replace(RECORDED[name], dt=2e-3)
+    rec = run_scenario(replace(scn, relay=None))
+    samples = [(float(t), complex(z_re, z_im)) for t, z_re, z_im in zip(rec.t, rec.zapp_re, rec.zapp_im)]
+    assert_relays_agree(samples, scn.dt, scn.relay)
+
+
+# nothing checks that the blinders nest: here the inner one reaches past the middle
+# one, so a middle entry can assert PSB inside the inner blinder and trip at once
+OVERHANGING = replace(RelaySettings(), inner=Blinder(rgt=0.7, lft=-0.25, fwd=1.31, rev=-0.39, tilt_deg=84.94))
+
+
+@pytest.mark.parametrize("settings", [RelaySettings(), OVERHANGING], ids=["reference", "overhanging-inner"])
+def test_relay_matches_reference_on_random_walks(settings):
+    n_events = 0
+    for points in random_walks():
+        n_events += assert_relays_agree(((k * DT, z) for k, z in enumerate(points)), DT, settings)
+    assert n_events
