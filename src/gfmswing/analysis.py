@@ -11,7 +11,7 @@ import numpy as np
 from .errors import InsufficientHorizon
 from .limiter import Strategy
 from .network import SystemParams
-from .dynamics import SimulationRecord
+from .dynamics import SimulationRecord, event_step
 from .trajectory import _cycle_grid, cycle_currents
 
 
@@ -64,11 +64,11 @@ def classify_stability(record: SimulationRecord, min_post_event: float = 20.0) -
 
     The swing is unstable when the unwrapped power angle wanders more than
     a full cycle away from its pre-event equilibrium. Requires at least
-    ``min_post_event`` seconds of record after the last event.
+    ``min_post_event`` seconds of record from the start of the step that
+    applies the last event.
     """
     if record.events:
-        last_event = max(ev.time for ev in record.events)
-        covered = record.t[-1] - last_event
+        covered = (len(record) - event_step(record.events[-1].time, record.dt)) * record.dt
         if covered < min_post_event:
             raise InsufficientHorizon(
                 f"only {covered:.3f} s after the last event; need {min_post_event:.3f} s"

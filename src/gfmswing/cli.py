@@ -94,7 +94,9 @@ _NO_VERDICT = {"verdict": None, "max_delta_excursion": None, "pole_slips": None}
 
 
 def _verdict(record) -> dict:
-    """Verdict fields of a summary; all ``None`` when too little record follows the last event."""
+    """Verdict fields of a summary; all ``None`` without events or with too little record after them."""
+    if not record.events:
+        return _NO_VERDICT
     try:
         verdict = analysis.classify_stability(record)
     except InsufficientHorizon as exc:
@@ -115,7 +117,7 @@ def cmd_simulate(args) -> int:
     record = dynamics.run_scenario(scn)
     channels = [f.name for f in fields(record) if isinstance(getattr(record, f.name), np.ndarray)]
     log = {h: [entry[k] for entry in record.relay_events] for k, h in enumerate(("t", "event", "element"))}
-    verdict = _verdict(record) if record.events else _NO_VERDICT
+    verdict = _verdict(record)
     _finish(
         out,
         scn,
@@ -186,8 +188,8 @@ def _first_swing_period(record) -> float | None:
     third: a sign change, or a touch of zero, between distinct samples."""
     if not record.events:
         return None
-    mask = record.t >= min(ev.time for ev in record.events)
-    d, t = record.delta[mask] - record.delta[0], record.t[mask]
+    start = dynamics.event_step(record.events[0].time, record.dt)
+    d, t = record.delta[start:] - record.delta[0], record.t[start:]
     k = np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != d[1:])) + 1
     return float(t[k[2]] - t[k[0]]) if len(k) >= 3 else None
 

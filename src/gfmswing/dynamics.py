@@ -108,6 +108,15 @@ def validate_events(events) -> tuple[Event, ...]:
     return events
 
 
+def event_step(time: float, dt: float) -> int:
+    """Index of the sample ending the step that applies an event at ``time``.
+
+    Step k, from sample k-1 to k, applies the events due by (k - 0.5)*dt. The
+    allowance of 1e-6 of a step absorbs the rounding of ``time/dt`` up to ten
+    million steps, so a half-step or grid time lands on its own step."""
+    return max(1, math.ceil(time / dt + 0.5 - 1e-6))
+
+
 @dataclass
 class SimulationRecord:
     """Uniformly sampled simulation channels plus relay outputs."""
@@ -213,7 +222,9 @@ def initial_state(system: SystemParams, apcl: ApclParams, cfg: LimiterConfig) ->
 def run_scenario(scenario) -> SimulationRecord:
     """Integrate a scenario from t=0 to its horizon, then let the relay observe it.
 
-    Each step applies the due events, resolves the VI gain once from the
+    Time is the step index: each event acts in the step ending at sample
+    ``event_step(time, dt)``, and sample k is recorded at the k-th partial sum
+    of ``dt``. Each step applies its events, resolves the VI gain once from the
     adaptive PI state, takes one RK4 step of the swing, clamps the frequency
     deviation and records the end-of-step sample, on whose current the PI
     then advances. The relay never acts back on the swing, so it walks the
@@ -227,22 +238,20 @@ def run_scenario(scenario) -> SimulationRecord:
     depend on the angle.
     """
     system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
-    events = validate_events(scenario.events)
-    dt = scenario.dt
+    events, dt = scenario.events, scenario.dt
     n = int(round(scenario.horizon / dt)) + 1
+    due = [event_step(ev.time, dt) for ev in events]
     adaptive_pi = cfg.strategy is Strategy.ADAPTIVE_VI
     clamp = apcl.freq_clamp
     e_ref, v_g_mag, i_th, alpha = complex(system.e_ref), system.v_g_mag, system.i_th, system.vi_ratio
     z_sigma, z_relay = complex(system.z_sigma), complex(system.z_relay_to_grid)
 
-    t_arr, delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (
-        np.empty(n) for _ in range(9)
-    )
-    psb_arr = np.zeros(n, dtype=bool)
-    ost_arr = np.zeros(n, dtype=bool)
+    delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (np.empty(n) for _ in range(8))
+    t_arr = np.concatenate(([0.0], np.cumsum(np.full(n - 1, dt))))  # a running sum of dt, added in order
+    psb_arr, ost_arr = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
 
     delta = initial_state(system, apcl, cfg)
-    omega, t, p0 = 0.0, 0.0, apcl.p0
+    omega, p0 = 0.0, apcl.p0
     faulted, frac, next_event = False, 0.5, 0
     adaptive = AdaptiveState()
     gain = _limiter_gain(cfg, adaptive, system)
@@ -260,7 +269,7 @@ def run_scenario(scenario) -> SimulationRecord:
     for k in range(n):
         if k:
             seen = next_event
-            while next_event < len(events) and events[next_event].time <= t + 0.5 * dt:
+            while next_event < len(events) and due[next_event] == k:
                 ev = events[next_event]
                 next_event += 1
                 if ev.kind is EventKind.PHASE_JUMP:
@@ -283,13 +292,11 @@ def run_scenario(scenario) -> SimulationRecord:
             delta += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             omega += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             omega = min(max(omega, -clamp), clamp)
-            t += dt
             if not math.isfinite(delta + omega):
-                raise ValidationError(f"the swing diverged at t={t!r} s; dt={dt!r} is too coarse")
+                raise ValidationError(f"the swing diverged at t={t_arr[k].item()!r} s; dt={dt!r} is too coarse")
 
         sample, sample_gain = evaluate(delta), gain
         p_e, i_mag, z, r_vi = sample
-        t_arr[k] = t
         delta_arr[k] = delta
         omega_arr[k] = omega
         imag_arr[k] = i_mag

@@ -79,8 +79,9 @@ def blinder_contains(z: complex, b: Blinder) -> bool:
 class RelaySettings:
     """Zone reaches/delays plus the three detection blinders.
 
-    The defaults are the reference distance-protection and swing-detection
-    settings.
+    The blinders share one tilt and nest, inner within middle within outer,
+    so a point inside one lies inside every larger one. The defaults are the
+    reference distance-protection and swing-detection settings.
     """
 
     zones: tuple[MhoZone, ...] = (
@@ -99,6 +100,10 @@ class RelaySettings:
             raise ValueError("psb_cycles must be >= 0 and finite")
         if not 0.0 < self.f_nominal < math.inf:
             raise ValueError("f_nominal must be positive and finite")
+        for a, b in ((self.middle, self.outer), (self.inner, self.middle)):
+            if not (a.tilt_deg == b.tilt_deg and b.lft <= a.lft and a.rgt <= b.rgt
+                    and b.rev <= a.rev and a.fwd <= b.fwd):
+                raise ValueError("blinders must share one tilt_deg and nest: inner within middle within outer")
 
     @property
     def delta_t_psb(self) -> float:
@@ -169,21 +174,17 @@ def relay_step(
             state.psb_asserted = state.ost_this_episode = False
             log.append((t, "psb_deassert", "outer"))
 
-    psb_just_asserted = False
     if in_middle != state.in_middle:
         log.append((t, "enter" if in_middle else "exit", "middle"))
-        if in_middle and not state.psb_asserted:
-            entry = state.outer_entry_time
-            psb_just_asserted = (t - entry if entry is not None else 0.0) > settings.delta_t_psb
-            state.psb_asserted = psb_just_asserted
-            log.append((t, "psb_assert" if psb_just_asserted else "fault_classified", "middle"))
+        if in_middle and not state.psb_asserted:  # inside the outer blinder since outer_entry_time
+            state.psb_asserted = t - state.outer_entry_time > settings.delta_t_psb
+            log.append((t, "psb_assert" if state.psb_asserted else "fault_classified", "middle"))
 
     if in_inner != state.in_inner:
         log.append((t, "enter" if in_inner else "exit", "inner"))
-    if (state.psb_asserted and in_inner and (not state.in_inner or psb_just_asserted)
-            and not state.ost_this_episode):
-        state.ost_tripped = state.ost_this_episode = True
-        log.append((t, "ost_trip", "inner"))
+        if in_inner and state.psb_asserted and not state.ost_this_episode:
+            state.ost_tripped = state.ost_this_episode = True
+            log.append((t, "ost_trip", "inner"))
     state.in_outer, state.in_middle, state.in_inner = in_outer, in_middle, in_inner
 
     if not state.in_zone:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -20,7 +19,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .dynamics import ApclParams, Event, validate_events
+from .dynamics import ApclParams, Event, event_step, validate_events
 from .errors import ParseError, ValidationError
 from .limiter import LimiterConfig
 from .network import Phasor, SystemParams
@@ -33,6 +32,8 @@ RK4_DAMPING_LIMIT = 2.78  # dt/(2*h*d_p) bound: RK4 is stable on the real axis d
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
+    """One run's inputs; its last event must be due by the midpoint of the last step (``event_step``)."""
+
     name: str
     system: SystemParams = SystemParams()
     apcl: ApclParams = ApclParams()
@@ -58,23 +59,18 @@ class Scenario:
             problems.append(
                 f"horizon/dt = {self.horizon / self.dt:.3g} steps exceeds the cap of {MAX_STEPS}"
             )
-        if self.events and not problems:
-            # a step applies the events due by half a step after its start, and the last
-            # of the horizon/dt steps starts at (steps - 1)*dt on a clock summed step by step,
-            # whose rounding error stays below steps * (steps*dt) * eps
-            t_last = max(ev.time for ev in self.events)
-            steps = round(self.horizon / self.dt)
-            t_due = (steps - 0.5 - steps * steps * sys.float_info.epsilon) * self.dt
-            if t_last > t_due:
-                problems.append(
-                    f"event time {t_last!r} s is past {t_due!r} s, the last time a step can apply it "
-                    f"(horizon = {self.horizon!r} s, dt = {self.dt!r} s)"
-                )
         if self.apcl.p0 <= 0.0:
             problems.append("apcl.p0 (initial power setpoint) must be positive")
         if problems:
             raise ValidationError("; ".join(problems))
         validate_events(self.events)
+        if self.events:
+            t_last, steps = self.events[-1].time, round(self.horizon / self.dt)
+            if t_last > self.horizon or event_step(t_last, self.dt) > steps:  # the first keeps time/dt finite
+                raise ValidationError(
+                    f"event time {t_last!r} s is past {(steps - 0.5) * self.dt!r} s, the last time a step "
+                    f"can apply it (horizon = {self.horizon!r} s, dt = {self.dt!r} s)"
+                )
 
 
 def _shown(value) -> str:

@@ -116,6 +116,14 @@ def test_classify_requires_post_event_horizon():
         classify_stability(run_scenario(scn))
 
 
+def test_classify_counts_post_event_record_in_steps():
+    # caseA1's jump at 8 s acts in the step starting at 8 s, so a 28 s horizon
+    # leaves exactly the 20 s needed, though the summed clock ends at 27.99999999998 s
+    record = run_scenario(replace(build_case("caseA1"), horizon=28.0))
+    assert record.t[-1] < 28.0
+    assert classify_stability(record).classification is Classification.STABLE
+
+
 def test_classification_invariant_to_rate_halving(record_a1):
     coarse = run_scenario(replace(build_case("caseA1"), dt=1e-3))
     assert classify_stability(coarse).classification is classify_stability(record_a1).classification

@@ -3,6 +3,7 @@ and the integration kernel against the reference integrator."""
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from gfmswing import (
 from gfmswing import dynamics, limiter
 from gfmswing.cases import CASE_IDS, build_case
 from gfmswing.dynamics import _limiter_gain, validate_events
-from gfmswing.scenario import Scenario
+from gfmswing.scenario import MAX_STEPS, Scenario
 
 
 def make_scenario(**overrides):
@@ -299,6 +300,33 @@ def test_scenario_rejects_an_event_no_step_applies():
     assert late.delta[-1] - quiet.delta[-1] == pytest.approx(0.5, abs=1e-3)
     with pytest.raises(ValidationError, match=r"event time 0\.9999 s is past 0\.9997\d* s"):
         make_scenario(events=(Event(0.9999, EventKind.PHASE_JUMP, 0.5),))
+
+
+def test_event_on_the_last_midpoint_acts():
+    # 0.99975 s is the midpoint of the last step of a 1 s run at dt = 5e-4
+    quiet = run_scenario(make_scenario())
+    late = run_scenario(make_scenario(events=(Event(0.99975, EventKind.PHASE_JUMP, 0.5),)))
+    assert np.array_equal(late.delta[:-1], quiet.delta[:-1])
+    assert late.delta[-1] - quiet.delta[-1] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_half_step_events_act_on_their_own_step():
+    # a jump at (k + 0.5)*dt is due at the midpoint of the step from sample k to k + 1
+    dt, ks = 5e-4, range(10, 2000, 38)
+    jumps = tuple(Event((k + 0.5) * dt, EventKind.PHASE_JUMP, 0.1 * (-1) ** i) for i, k in enumerate(ks))
+    rec = run_scenario(make_scenario(events=jumps, dt=dt))
+    moved = np.flatnonzero(np.abs(np.diff(rec.delta)) > 0.05) + 1
+    assert moved.tolist() == [k + 1 for k in ks]
+
+
+@pytest.mark.parametrize("dt", [1e-4, 3e-4, 5e-4, 1e-3, 2e-3, 5e-3])
+def test_event_step_of_grid_and_half_step_times(dt):
+    # decimal times as their nearest floats, up to the step cap: k*dt and (k + 0.5)*dt
+    # act in the step ending at sample k + 1, and (k + 0.5001)*dt in the next one
+    assert dynamics.event_step(-1.0, dt) == 1
+    for k in [0, 1, 2, *np.random.default_rng(7).integers(3, MAX_STEPS, 3000).tolist()]:
+        times = [float(Decimal(str(dt)) * (k + Decimal(f))) for f in ("0", "0.5", "0.5001")]
+        assert [dynamics.event_step(x, dt) for x in times] == [k + 1, k + 1, k + 2], k
 
 
 def test_initial_state_rejects_excess_setpoint():

@@ -80,6 +80,29 @@ def test_blinders_nested_on_dense_grid():
             assert blinder_contains(z, settings.outer)
 
 
+NOT_NESTED = {
+    # an inner blinder reaching past the middle one could assert PSB and trip OST on one sample
+    "overhanging-inner": dict(inner=Blinder(rgt=0.7, lft=-0.25, fwd=1.31, rev=-0.39, tilt_deg=84.94)),
+    "middle-past-outer-rev": dict(middle=Blinder(rgt=0.61, lft=-0.61, fwd=1.57, rev=-0.6, tilt_deg=84.94)),
+    "outer-inside-middle": dict(outer=Blinder(rgt=0.6, lft=-0.84, fwd=1.88, rev=-0.56, tilt_deg=84.94)),
+    "inner-past-middle-fwd": dict(inner=Blinder(rgt=0.25, lft=-0.25, fwd=1.6, rev=-0.39, tilt_deg=84.94)),
+    "tilts-differ": dict(inner=Blinder(rgt=0.25, lft=-0.25, fwd=1.31, rev=-0.39, tilt_deg=80.0)),
+}
+
+
+@pytest.mark.parametrize("changes", NOT_NESTED.values(), ids=NOT_NESTED.keys())
+def test_settings_reject_blinders_that_do_not_nest(changes):
+    with pytest.raises(ValueError, match="nest"):
+        replace(RelaySettings(), **changes)
+
+
+def test_settings_accept_blinders_that_touch():
+    # the check is inclusive: equal blinders nest
+    same = RelaySettings().middle
+    settings = replace(RelaySettings(), inner=same, outer=same)
+    assert settings.inner == settings.middle == settings.outer
+
+
 def test_scaled_settings():
     settings = RelaySettings.table1().scaled(2.0 / 3.0)
     assert abs(settings.zones[0].reach) == pytest.approx(0.32)
@@ -371,12 +394,7 @@ def test_relay_matches_reference_on_recorded_impedance(name):
     assert_relays_agree(samples, scn.dt, scn.relay)
 
 
-# nothing checks that the blinders nest: here the inner one reaches past the middle
-# one, so a middle entry can assert PSB inside the inner blinder and trip at once
-OVERHANGING = replace(RelaySettings(), inner=Blinder(rgt=0.7, lft=-0.25, fwd=1.31, rev=-0.39, tilt_deg=84.94))
-
-
-@pytest.mark.parametrize("settings", [RelaySettings(), OVERHANGING], ids=["reference", "overhanging-inner"])
+@pytest.mark.parametrize("settings", [RelaySettings()], ids=["reference"])
 def test_relay_matches_reference_on_random_walks(settings):
     n_events = 0
     for points in random_walks():

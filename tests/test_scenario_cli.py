@@ -31,6 +31,7 @@ from gfmswing import (
 )
 from gfmswing.cases import CASE_IDS, build_case, case_d_system
 from gfmswing.cli import _first_swing_period, main
+from gfmswing.dynamics import event_step
 from gfmswing.scenario import (
     MAX_STEPS,
     load_scenario,
@@ -225,6 +226,16 @@ def test_cli_simulate_short_post_event_horizon(tmp_path, command):
     assert summary["pole_slips"] is None
 
 
+def test_cli_sweep_without_events_has_no_verdict(tmp_path):
+    # as in simulate: a record without events gets the null verdict fields
+    path = _write_fast_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 0
+    (row,) = json.loads((out / "summary.json").read_text())["sweep"]
+    assert [row[key] for key in ("verdict", "max_delta_excursion", "pole_slips")] == [None, None, None]
+    assert (out / "sweep.csv").read_text().splitlines()[1].endswith(",,,,")
+
+
 def test_cli_simulate_byte_identical_reruns(tmp_path):
     path = _write_fast_scenario(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -281,17 +292,17 @@ def _first_swing_period_walk(record):
     """Oracle: the per-sample walk over the post-event angle for its first three crossings."""
     if not record.events:
         return None
-    mask = record.t >= min(ev.time for ev in record.events)
-    delta, t = record.delta[mask] - record.delta[0], record.t[mask]
+    start = event_step(record.events[0].time, record.dt)
+    delta, t = record.delta[start:] - record.delta[0], record.t[start:]
     crossings = [
         t[k] for k in range(1, len(delta)) if delta[k - 1] * delta[k] <= 0.0 and delta[k - 1] != delta[k]
     ]
     return float(crossings[2] - crossings[0]) if len(crossings) >= 3 else None
 
 
-def _swing(delta, events=(Event(0.2, EventKind.PHASE_JUMP, 0.1),)):
-    """A hand-built record: ``delta`` sampled every 0.1 s."""
-    return SimpleNamespace(t=np.arange(len(delta)) * 0.1, delta=np.array(delta, float), events=events)
+def _swing(delta, events=(Event(0.1, EventKind.PHASE_JUMP, 0.1),)):
+    """A hand-built record sampled every 0.1 s; the default event acts in the step ending at sample 2."""
+    return SimpleNamespace(t=np.arange(len(delta)) * 0.1, delta=np.array(delta, float), events=events, dt=0.1)
 
 
 FIRST_SWINGS = {
@@ -321,6 +332,12 @@ def test_first_swing_period_matches_walk(case_id, swings):
     assert period == _first_swing_period_walk(record)
 
 
+def test_first_swing_period_starts_after_the_event_step():
+    # caseB1's fault at 4 s acts after the sample at 4 s, which must not count as a crossing
+    record = run_scenario(replace(build_case("caseB1"), horizon=8.0))
+    assert _first_swing_period(record) == pytest.approx(1.450, abs=1e-3)
+
+
 BAD_SCENARIOS = {
     "malformed-json": "{",
     "nan-dt": '{"horizon": 1.0, "dt": NaN}',
@@ -337,6 +354,9 @@ BAD_SCENARIOS = {
     "huge-horizon": '{"horizon": 1e15}',
     "fault-beyond-line": '{"horizon": 1.0, "events": [{"time": 0.5, "kind": "fault_apply", "value": 1.5}]}',
     "zero-f_nominal": '{"horizon": 1.0, "relay": {"f_nominal": 0}}',
+    "blinders-not-nested": '{"horizon": 1.0, "relay": {"inner": '
+    '{"rgt": 0.7, "lft": -0.25, "fwd": 1.31, "rev": -0.39, "tilt_deg": 84.94}}}',
+    "huge-event-time": '{"horizon": 1.0, "events": [{"time": 1e308, "kind": "phase_jump", "value": 0.1}]}',
     "negative-psb_cycles": '{"horizon": 1.0, "relay": {"psb_cycles": -1}}',
     "off-axis-e_ref": '{"horizon": 1.0, "system": {"e_ref": {"mag": 1.0, "angle_deg": 10}}}',
     "non-utf8-byte": b'{"horizon": 1.0, "name": "\xff"}',
