@@ -53,15 +53,6 @@ class Blinder:
         if not 0.0 < math.radians(self.tilt_deg) <= 0.5 * math.pi:
             raise ValueError("tilt_deg must lie in (0, 90]")
 
-    def scaled(self, factor: float) -> "Blinder":
-        return Blinder(
-            rgt=self.rgt * factor,
-            lft=self.lft * factor,
-            fwd=self.fwd * factor,
-            rev=self.rev * factor,
-            tilt_deg=self.tilt_deg,
-        )
-
 
 def mho_contains(z: complex, zone: MhoZone) -> bool:
     """Boundary-inclusive membership in the zone's mho circle."""
@@ -112,13 +103,12 @@ class RelaySettings:
 
     def scaled(self, factor: float) -> "RelaySettings":
         """Settings with every reach scaled by ``factor`` (angles unchanged)."""
-        return replace(
-            self,
-            zones=tuple(MhoZone(Phasor(factor * z.reach), z.time_delay) for z in self.zones),
-            outer=self.outer.scaled(factor),
-            middle=self.middle.scaled(factor),
-            inner=self.inner.scaled(factor),
-        )
+        blinders = {
+            name: replace(b, rgt=factor * b.rgt, lft=factor * b.lft, fwd=factor * b.fwd, rev=factor * b.rev)
+            for name, b in (("outer", self.outer), ("middle", self.middle), ("inner", self.inner))
+        }
+        zones = tuple(MhoZone(Phasor(factor * z.reach), z.time_delay) for z in self.zones)
+        return replace(self, zones=zones, **blinders)
 
     @classmethod
     def table1(cls) -> "RelaySettings":
@@ -128,23 +118,25 @@ class RelaySettings:
 
 @dataclass
 class RelayState:
-    """Occupancy, timers and latched decisions of one relay instance.
+    """Occupancy, entry samples and latched decisions of one relay instance.
 
-    ``relay_step`` advances it in place. The per-zone lists start empty and
-    take one entry per zone of the settings at the first ``relay_step``;
-    ``event_log`` holds one ``(t, event, element)`` tuple per event.
+    ``relay_step`` advances it in place, one call per sample, and ``samples``
+    counts the calls. ``outer_entry`` is the sample that entered the outer
+    blinder and ``zone_entry[k]`` the one that entered zone k + 1, each ``None``
+    while outside. ``zone_entry`` starts empty and takes one entry per zone of
+    the settings at the first ``relay_step``; ``event_log`` holds one
+    ``(t, event, element)`` tuple per event.
     """
 
     in_outer: bool = False
     in_middle: bool = False
     in_inner: bool = False
-    in_zone: list[bool] = field(default_factory=list)
-    zone_timers: list[float] = field(default_factory=list)
-    zone_tripped: list[bool] = field(default_factory=list)
-    outer_entry_time: float | None = None
+    zone_entry: list[int | None] = field(default_factory=list)
+    outer_entry: int | None = None
     psb_asserted: bool = False
     ost_tripped: bool = False
     ost_this_episode: bool = False
+    samples: int = 0
     event_log: list[tuple[float, str, str]] = field(default_factory=list)
 
 
@@ -159,9 +151,18 @@ def relay_step(
 
     ``z`` may be ``None`` (or NaN) when the impedance is undefined; the
     point is then treated as lying outside every characteristic.
+
+    Durations are counted in whole samples, with the allowance of 1e-6 of a
+    step that ``dynamics.event_step`` gives: PSB asserts at middle entry when
+    the transit since outer entry exceeds ``delta_t_psb/dt + 1e-6`` samples,
+    and a zone trips on the first in-zone sample whose lag since entry reaches
+    ``time_delay/dt - 1e-6``, so a zero delay trips on the entry sample. ``t``
+    only stamps the log.
     """
     if z is None:
         z = complex(float("nan"), float("nan"))
+    n = state.samples
+    state.samples = n + 1
     in_outer = blinder_contains(z, settings.outer)
     in_middle = blinder_contains(z, settings.middle)
     in_inner = blinder_contains(z, settings.inner)
@@ -169,15 +170,15 @@ def relay_step(
 
     if in_outer != state.in_outer:
         log.append((t, "enter" if in_outer else "exit", "outer"))
-        state.outer_entry_time = t if in_outer else None
+        state.outer_entry = n if in_outer else None
         if not in_outer and state.psb_asserted:
             state.psb_asserted = state.ost_this_episode = False
             log.append((t, "psb_deassert", "outer"))
 
     if in_middle != state.in_middle:
         log.append((t, "enter" if in_middle else "exit", "middle"))
-        if in_middle and not state.psb_asserted:  # inside the outer blinder since outer_entry_time
-            state.psb_asserted = t - state.outer_entry_time > settings.delta_t_psb
+        if in_middle and not state.psb_asserted:  # inside the outer blinder since sample outer_entry
+            state.psb_asserted = n - state.outer_entry > settings.delta_t_psb / dt + 1e-6
             log.append((t, "psb_assert" if state.psb_asserted else "fault_classified", "middle"))
 
     if in_inner != state.in_inner:
@@ -187,18 +188,16 @@ def relay_step(
             log.append((t, "ost_trip", "inner"))
     state.in_outer, state.in_middle, state.in_inner = in_outer, in_middle, in_inner
 
-    if not state.in_zone:
-        n = len(settings.zones)
-        state.in_zone, state.zone_timers, state.zone_tripped = [False] * n, [0.0] * n, [False] * n
-    in_zone, timers, tripped = state.in_zone, state.zone_timers, state.zone_tripped
+    if not state.zone_entry:
+        state.zone_entry = [None] * len(settings.zones)
+    entry = state.zone_entry
     for k, zone in enumerate(settings.zones):
         inside = not state.psb_asserted and mho_contains(z, zone)
-        if inside != in_zone[k]:
+        if inside != (entry[k] is not None):
             log.append((t, "enter" if inside else "exit", f"zone{k + 1}"))
-            in_zone[k], timers[k], tripped[k] = inside, 0.0, False
-        elif inside:
-            timers[k] += dt
-        if inside and not tripped[k] and timers[k] >= zone.time_delay:
-            tripped[k] = True
-            log.append((t, "trip", f"zone{k + 1}"))
+            entry[k] = n if inside else None
+        if inside:
+            lag, delay = n - entry[k], zone.time_delay / dt - 1e-6
+            if lag >= delay > lag - 1:  # one sample per dwell reaches the delay
+                log.append((t, "trip", f"zone{k + 1}"))
     return state

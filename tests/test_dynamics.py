@@ -37,7 +37,7 @@ from gfmswing import (
 )
 from gfmswing import dynamics, limiter
 from gfmswing.cases import CASE_IDS, build_case
-from gfmswing.dynamics import _limiter_gain, validate_events
+from gfmswing.dynamics import _limiter_gain, event_step, validate_events
 from gfmswing.scenario import MAX_STEPS, Scenario
 
 
@@ -173,6 +173,27 @@ def test_rk4_convergence_order():
     err_fine = abs(finals[1e-3] - finals[5e-4])
     order = math.log2(err_coarse / err_fine)
     assert order > 3.5
+
+
+ENERGY_CASES = [case for case in CASE_IDS if build_case(case).limiter.strategy is not Strategy.ADAPTIVE_VI]
+
+
+@pytest.mark.parametrize("case", ENERGY_CASES)
+def test_energy_never_rises_between_events(case):
+    # V = h*w^2 + (1/w_n) * integral of (p_e - p0) d(delta) falls at the rate -w^2/d_p
+    # (Pai, Energy Function Analysis for Power System Stability, 1989), and the
+    # clamp only removes energy; a faulted p_e is constant, so faulted spans count
+    scn = replace(build_case(case), dt=2e-3, relay=None)
+    rec = run_scenario(scn)
+    steps = np.arange(1, len(rec))  # step k runs from sample k-1 to sample k
+    p0 = np.full(len(steps), scn.apcl.p0)
+    for ev in scn.events:
+        if ev.kind is EventKind.POWER_STEP:
+            p0[steps >= event_step(ev.time, scn.dt)] += ev.value
+    work = (0.5 * (rec.p_e[1:] + rec.p_e[:-1]) - p0) * np.diff(rec.delta)  # trapezoid rule
+    rise = scn.apcl.h * np.diff(rec.omega_dev**2) + work / scn.apcl.omega_n
+    quiet = ~np.isin(steps, [event_step(ev.time, scn.dt) for ev in scn.events])
+    assert rise[quiet].max() <= 1e-15
 
 
 def test_quasi_static_consistency_against_closed_form():

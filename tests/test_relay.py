@@ -1,7 +1,7 @@
 """Relay engine tests: characteristics, PSB/OST state machine, zones."""
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -125,10 +125,7 @@ def test_fault_step_trips_zone1_without_psb():
 
 def test_zone2_timer_and_reset():
     settings = RelaySettings.table1()
-    z2_point = 0.55 * complex(settings.zones[1].reach)  # inside zone 2, outside zone 1?
-    # make sure the point is not in zone 1 (it is along the reach, 0.55*0.72=0.396 < 0.48)
-    # pick a point between z1 and z2 reaches instead
-    z2_point = 0.9 * complex(settings.zones[1].reach)
+    z2_point = 0.9 * complex(settings.zones[1].reach)  # between the zone-1 and zone-2 reaches
     assert not mho_contains(z2_point, settings.zones[0])
     # dwell shorter than the 0.5 s delay: no trip
     state = run_stream([complex(2.0, 0.3)] * 10 + [z2_point] * 900, settings)
@@ -139,6 +136,54 @@ def test_zone2_timer_and_reset():
     # a full dwell trips
     state2 = run_stream([complex(2.0, 0.3)] * 10 + [z2_point] * 1100, settings)
     assert events_named(state2, "trip", "zone2")
+
+
+LOAD = complex(2.0, 0.3)
+
+
+def sample_stamps(points, settings, dt=DT):
+    """Walk ``points`` with each sample's index as its log stamp; returns the log."""
+    state = RelayState()
+    for k, z in enumerate(points):
+        relay_step(state, z, k, dt, settings)
+    return state.event_log
+
+
+@pytest.mark.parametrize("zone, scale, lag", [(3, 0.9, 2000), (2, 0.9, 1000), (1, 0.5, 0)])
+def test_zone_trips_after_its_delay_in_whole_samples(zone, scale, lag):
+    # 1.0 s and 0.5 s at dt 5e-4 are 2 000 and 1 000 samples; zone 1 has no delay
+    settings = RelaySettings()
+    point = scale * complex(settings.zones[zone - 1].reach)
+    assert all(mho_contains(point, z) == (k >= zone - 1) for k, z in enumerate(settings.zones))
+    element = f"zone{zone}"
+    log = sample_stamps([LOAD] * 10 + [point] * 2100, settings)
+    assert [e for e in log if e[2] == element] == [(10, "enter", element), (10 + lag, "trip", element)]
+
+
+def middle_entry_after(transit, settings, dt=DT):
+    """Middle-blinder decision of a point that dwells ``transit`` samples between
+    the outer and middle blinders, with the running-sum clock of a record."""
+    cot = 1.0 / math.tan(math.radians(settings.outer.tilt_deg))
+    between = 0.5 * (settings.outer.rgt + settings.middle.rgt) + 0.3 * cot + 0.3j
+    state = run_stream([LOAD] * 10 + [between] * transit + [0.3 * cot + 0.3j], settings, dt)
+    return [e[1] for e in state.event_log if e[2] == "middle"]
+
+
+@pytest.mark.parametrize("transit, decision", [(80, "fault_classified"), (81, "psb_assert")])
+def test_psb_needs_a_transit_longer_than_its_time(transit, decision):
+    # 2 cycles at 50 Hz are 40 ms, 80 samples at dt 5e-4: a transit of exactly that is not longer
+    assert middle_entry_after(transit, replace(RelaySettings(), f_nominal=50.0)) == ["enter", decision]
+
+
+def test_unreachable_delays_neither_trip_nor_raise():
+    # delay/dt overflows to inf at dt 1e-300; a ceil or int of it would raise OverflowError
+    zones = tuple(replace(zone, time_delay=1e300) for zone in RelaySettings().zones)
+    settings = replace(RelaySettings(), zones=zones, psb_cycles=1e300, f_nominal=1.0)
+    point = 0.9 * complex(zones[2].reach)
+    for dt in (DT, 1e-300):
+        log = sample_stamps([LOAD] * 10 + [point] * 100, settings, dt)
+        assert not [e for e in log if e[1] == "trip"]
+        assert middle_entry_after(100, settings, dt) == ["enter", "fault_classified"]
 
 
 def make_ramp(settings, transit_outer_to_middle, x=0.3, dt=DT):
@@ -367,20 +412,39 @@ def typed(log):
     return [tuple((type(x), x) for x in entry) for entry in log]
 
 
-def assert_relays_agree(samples, dt, settings) -> int:
-    """Walk both relays over ``(t, z)`` samples: the per-sample state, the decisions
-    and the event log (entries, order and element types) must agree. Returns the
-    number of events logged."""
+SHARED_FIELDS = ("in_outer", "in_middle", "in_inner", "psb_asserted", "ost_tripped", "ost_this_episode")
+
+
+def walk_both(samples, dt, settings):
+    """Walk both relays over ``(t, z)`` samples: per sample, the blinder occupancy,
+    the decisions and the zone occupancy must agree. Returns both event logs."""
     ref, state = ReferenceRelayState(), RelayState()
     for k, (t, z) in enumerate(samples):
         ref = reference_relay_step(ref, z, t, dt, settings)
         assert relay_step(state, z, t, dt, settings) is state
-        for f in fields(RelayState):
-            if f.name != "event_log":
-                got, want = getattr(state, f.name), getattr(ref, f.name)
-                assert (tuple(got) if isinstance(got, list) else got) == want, (k, f.name)
-    assert typed(state.event_log) == typed(ref.event_log)
-    return len(state.event_log)
+        for name in SHARED_FIELDS:
+            assert getattr(state, name) == getattr(ref, name), (k, name)
+        assert tuple(entry is not None for entry in state.zone_entry) == ref.in_zone, k
+    return state.event_log, list(ref.event_log)
+
+
+def assert_relays_agree(samples, dt, settings) -> int:
+    """Both relays agree sample by sample and log the same events (entries, order
+    and element types). Returns the number of events logged."""
+    log, ref_log = walk_both(samples, dt, settings)
+    assert typed(log) == typed(ref_log)
+    return len(log)
+
+
+def test_counted_delay_moves_only_the_whole_step_trip():
+    # the frozen relay sums its zone-3 timer: 2 000 additions of 5e-4 fall short
+    # of 1.0 s, so it trips one sample late, at 2 011 instead of 2 010
+    points = [LOAD] * 10 + [0.9 * complex(RelaySettings().zones[2].reach)] * 2100
+    times = np.cumsum([0.0] + [DT] * (len(points) - 1)).tolist()
+    log, ref_log = walk_both(zip(times, points), DT, RelaySettings())
+    assert [e for e in log if e not in ref_log] == [(times[2010], "trip", "zone3")]
+    assert [e for e in ref_log if e not in log] == [(times[2011], "trip", "zone3")]
+    assert typed(e for e in log if e[1] != "trip") == typed(e for e in ref_log if e[1] != "trip")
 
 
 RECORDED = {**{case: build_case(case) for case in CASE_IDS}, "criterion11": CRITERION_11, "mixed": MIXED}
