@@ -17,7 +17,6 @@ from .errors import (
     DegenerateCircuit,
     GfmSwingError,
     InsufficientHorizon,
-    InvalidThresholds,
     NoConvergence,
     ParseError,
     Unreachable,

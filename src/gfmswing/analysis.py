@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InsufficientHorizon
 from .limiter import Strategy
-from .network import SystemParams
+from .network import SystemParams, _pcc_power
 from .dynamics import SimulationRecord, event_step
 from .trajectory import _cycle_grid, cycle_currents
 
@@ -24,7 +24,6 @@ class Classification(Enum):
 class PDeltaCurve:
     """Electrical power versus power angle for one limiting strategy."""
 
-    strategy: Strategy
     delta: np.ndarray
     p: np.ndarray
     vi_active: np.ndarray
@@ -55,8 +54,8 @@ def p_delta_curve(
     """
     delta = _cycle_grid(n)
     v_far, current, active = cycle_currents(strategy, params, delta, gain)
-    p = np.real((v_far + params.z_sigma * current) * np.conj(current))
-    return PDeltaCurve(strategy=strategy, delta=delta, p=p, vi_active=active)
+    p = _pcc_power(v_far + params.z_sigma * current, current)
+    return PDeltaCurve(delta=delta, p=p, vi_active=active)
 
 
 def classify_stability(record: SimulationRecord, min_post_event: float = 20.0) -> StabilityVerdict:

@@ -168,7 +168,7 @@ def cmd_sweep(args) -> int:
     dp_values = _parse_grid(args.dp, "--dp") or [scn.apcl.d_p]
     try:
         pairs = itertools.product(h_values, dp_values)
-        grid = [replace(scn, apcl=replace(scn.apcl, h=h, d_p=d_p)) for h, d_p in pairs]
+        grid = [replace(scn, apcl=replace(scn.apcl, h=h, d_p=d_p), relay=None) for h, d_p in pairs]
     except ValueError as exc:
         raise ValidationError(f"--h/--dp: {exc}") from exc
     out = _out_dir(args, scn)

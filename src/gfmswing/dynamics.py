@@ -47,11 +47,9 @@ class ApclParams:
     def __post_init__(self):
         problems = [
             f"{name} must be positive and finite"
-            for name in ("h", "d_p", "freq_clamp", "omega_n")
+            for name in ("h", "d_p", "p0", "freq_clamp", "omega_n")
             if not 0.0 < getattr(self, name) < math.inf
         ]
-        if not math.isfinite(self.p0):
-            problems.append("p0 must be finite")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -189,8 +187,6 @@ def initial_state(system: SystemParams, apcl: ApclParams, cfg: LimiterConfig) ->
     exceeds what the curve can deliver.
     """
     p0 = apcl.p0
-    if p0 <= 0.0:
-        raise ValidationError("initial power setpoint must be positive")
     gain = _limiter_gain(cfg, AdaptiveState(), system)
 
     def p_of(d: float) -> float:

@@ -9,16 +9,8 @@ class DegenerateCircuit(GfmSwingError):
     """Total series impedance is numerically zero; the loop cannot be solved."""
 
 
-class InvalidThresholds(GfmSwingError):
-    """Current thresholds do not satisfy i_max > i_th > 0."""
-
-
 class NoConvergence(GfmSwingError):
     """An iterative solve exhausted its budget without meeting tolerance."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class Unreachable(GfmSwingError):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AlwaysExceeded, DegenerateCircuit, InvalidThresholds, NoConvergence, Unreachable
+from .errors import AlwaysExceeded, DegenerateCircuit, NoConvergence, Unreachable
 from .network import NetworkSolution, SystemParams, solve_network
 
 SOLVE_TOL = 1e-10
@@ -84,8 +84,6 @@ def vi_gain_from_drop(delta_v: float, params: SystemParams) -> float:
     ``delta_v`` when the gain is delta_v / ((i_max - i_th) * i_max *
     sqrt(1 + alpha^2)).
     """
-    if params.i_max <= params.i_th:
-        raise InvalidThresholds(f"i_max={params.i_max!r} must exceed i_th={params.i_th!r}")
     alpha = params.vi_ratio
     return delta_v / ((params.i_max - params.i_th) * params.i_max * math.sqrt(1.0 + alpha * alpha))
 
@@ -128,7 +126,7 @@ def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: floa
     """Root of the limited loop for a drive of magnitude ``e_mag``.
 
     The virtual impedance grows linearly with the overshoot past ``i_th``
-    along a fixed direction, so the scalar residual
+    along a fixed direction, so with a passive ``z_ext`` the residual
     ``m * |z_ext + gain*(m - i_th)*(1 + j*alpha)| - e_mag`` is monotone in
     ``m`` and the limited root is unique. A safeguarded Newton iteration
     (rtsafe, Numerical Recipes 9.4) starts at the right end of the bracket,
@@ -174,7 +172,7 @@ def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: floa
         if abs(step) < SOLVE_TOL:
             return m
 
-    raise NoConvergence(f"implicit current solve stalled at m={m!r}", residual=residual)
+    raise NoConvergence(f"implicit current solve stalled at m={m!r} (residual {residual!r})")
 
 
 def solve_variable_vi_current(

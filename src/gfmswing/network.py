@@ -59,7 +59,8 @@ class SystemParams:
     ``alpha_vi`` is the reactance-to-resistance ratio of the virtual
     impedance; ``None`` selects the angle of the total series impedance.
     Every source, impedance and current magnitude must lie in [1e-6, 1e6]
-    pu. The derived impedances and ratio are computed once per instance.
+    pu, and the loop is passive: no impedance has a negative resistance or
+    reactance. The derived impedances and ratio are computed once per instance.
     """
 
     e_ref: Phasor = Phasor(1.0, 0.0)
@@ -89,6 +90,9 @@ class SystemParams:
         ]
         if not (self.e_ref.real > 0.0 and self.e_ref.imag == 0.0):
             problems.append("e_ref must be real and positive (reference angle zero)")
+        for name, z in (("z_g", self.z_g), ("z_l", self.z_l), ("z_tr", self.z_tr)):
+            if z.real < 0.0 or z.imag < 0.0:
+                problems.append(f"{name} = {z!r} has a negative resistance or reactance (not passive)")
         if not self.i_max > self.i_th:
             problems.append("require i_max > i_th")
         if self.alpha_vi is not None and not 0.0 <= self.alpha_vi < math.inf:
@@ -139,14 +143,15 @@ def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkS
     return NetworkSolution(*_series_loop(v_far, z_vi, params.e_ref, params.z_sigma, params.z_relay_to_grid))
 
 
-def _series_loop(v_far: complex, z_vi: complex, e_ref: complex, z_sigma: complex, z_relay: complex) -> tuple:
-    """``NetworkSolution`` fields of the healthy loop with the grid source at ``v_far``;
-    also the loop algebra of ``dynamics.run_scenario``."""
-    z_total = z_sigma + z_vi
+def _series_loop(v_far: complex, z_vi: complex, e_ref: complex, z_loop: complex, z_relay: complex) -> tuple:
+    """``NetworkSolution`` fields of a series loop from ``e_ref`` through ``z_vi`` and
+    ``z_loop`` to a far source at ``v_far``, the relay bus sitting ``z_relay`` short
+    of the far source; also the loop algebra of ``dynamics.run_scenario``."""
+    z_total = z_loop + z_vi
     if abs(z_total) < 1e-12:
-        raise DegenerateCircuit(f"|z_sigma + z_vi| = {abs(z_total):.3e} with the grid source at {v_far!r}")
+        raise DegenerateCircuit(f"series loop impedance {abs(z_total):.3e} with the far source at {v_far!r}")
     current = (e_ref - v_far) / z_total
-    v_pcc = v_far + z_sigma * current
+    v_pcc = v_far + z_loop * current
     v_relay = v_far + z_relay * current
     z_apparent = None if abs(current) < ZERO_CURRENT_TOL else v_relay / current
     return current, v_pcc, v_relay, z_apparent
@@ -157,20 +162,13 @@ def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) ->
 
     The fault sits ``fraction`` of the way from the relay bus to the grid;
     the loop runs from the voltage reference through the transformer and the
-    faulted line stub to a zero-voltage node, so the grid source drops out
-    of the relay's measurement entirely.
+    faulted line stub to a zero-voltage node: the series loop with its far
+    source at 0 V, so the grid source drops out of the relay's measurement.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fault fraction must be in [0, 1], got {fraction!r}")
-    z_path = params.z_tr + fraction * params.z_l
-    z_total = z_path + z_vi
-    if abs(z_total) < 1e-12:
-        raise DegenerateCircuit(f"faulted loop impedance {abs(z_total):.3e}")
-    current = params.e_ref / z_total
-    v_pcc = current * z_path
-    v_relay = current * (fraction * params.z_l)
-    z_apparent = None if abs(current) < ZERO_CURRENT_TOL else v_relay / current
-    return NetworkSolution(current, v_pcc, v_relay, z_apparent)
+    z_relay = fraction * params.z_l
+    return NetworkSolution(*_series_loop(0j, z_vi, params.e_ref, params.z_tr + z_relay, z_relay))
 
 
 def active_power(sol: NetworkSolution) -> float:

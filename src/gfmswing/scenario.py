@@ -59,8 +59,6 @@ class Scenario:
             problems.append(
                 f"horizon/dt = {self.horizon / self.dt:.3g} steps exceeds the cap of {MAX_STEPS}"
             )
-        if self.apcl.p0 <= 0.0:
-            problems.append("apcl.p0 (initial power setpoint) must be positive")
         if problems:
             raise ValidationError("; ".join(problems))
         validate_events(self.events)

@@ -11,7 +11,6 @@ import pytest
 from gfmswing import (
     AdaptiveState,
     ApclParams,
-    DegenerateCircuit,
     Event,
     EventKind,
     LimiterConfig,
@@ -173,6 +172,21 @@ def test_rk4_convergence_order():
     err_fine = abs(finals[1e-3] - finals[5e-4])
     order = math.log2(err_coarse / err_fine)
     assert order > 3.5
+
+
+def test_clamped_swing_converges_at_first_order():
+    # caseA2 rides the +-0.01 frequency clamp; projecting omega after each step
+    # while the RK4 stages run unclamped makes the record first-order accurate
+    def final_delta_differences(freq_clamp):
+        scn = replace(build_case("caseA2"), horizon=12.0, relay=None)
+        scn = replace(scn, apcl=replace(scn.apcl, freq_clamp=freq_clamp))
+        final = [run_scenario(replace(scn, dt=dt)).delta[-1] for dt in (2e-3, 1e-3, 5e-4)]
+        return abs(final[0] - final[1]), abs(final[1] - final[2])
+
+    coarse, fine = final_delta_differences(0.01)
+    assert 0.9 <= math.log2(coarse / fine) <= 1.1
+    _, unclamped_fine = final_delta_differences(1.0)  # never reached
+    assert unclamped_fine < fine / 50.0
 
 
 ENERGY_CASES = [case for case in CASE_IDS if build_case(case).limiter.strategy is not Strategy.ADAPTIVE_VI]
@@ -350,6 +364,12 @@ def test_event_step_of_grid_and_half_step_times(dt):
         assert [dynamics.event_step(x, dt) for x in times] == [k + 1, k + 1, k + 2], k
 
 
+@pytest.mark.parametrize("p0", [0.0, -0.1])
+def test_apcl_rejects_non_positive_setpoint(p0):
+    with pytest.raises(ValueError, match="p0"):
+        ApclParams(p0=p0)
+
+
 def test_initial_state_rejects_excess_setpoint():
     system = SystemParams()
     with pytest.raises(ValidationError):
@@ -516,11 +536,6 @@ def test_kernel_matches_reference_integrator(name):
 
 
 RAISING = {
-    "degenerate": (
-        {"system": SystemParams(z_tr=Phasor(0.1, 0.1), z_l=Phasor(0.1, 0.1), z_g=Phasor(-0.2, -0.2))},
-        DegenerateCircuit,
-        limiter.MAX_SOLVE_ITER,
-    ),
     # one Newton step cannot converge once the jump activates the VI
     "no-convergence": (
         {
@@ -533,6 +548,13 @@ RAISING = {
     ),
     "diverged": ({"events": OVERFLOWING_STEPS}, ValidationError, limiter.MAX_SOLVE_ITER),
 }
+
+
+def test_loop_that_cancels_itself_is_rejected():
+    # a grid impedance that cancels the transformer and line leaves no loop
+    # impedance; the passive-loop rule rejects it before any run
+    with pytest.raises(ValueError, match="z_g"):
+        SystemParams(z_tr=Phasor(0.1, 0.1), z_l=Phasor(0.1, 0.1), z_g=Phasor(-0.2, -0.2))
 
 
 @pytest.mark.parametrize("name", RAISING)

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +9,8 @@ import pytest
 from gfmswing import (
     AdaptiveState,
     AlwaysExceeded,
-    InvalidThresholds,
     LimiterConfig,
-    Phasor,
+    NoConvergence,
     Strategy,
     SystemParams,
     Unreachable,
@@ -26,6 +24,7 @@ from gfmswing import (
     vi_from_current,
     vi_gain_from_drop,
 )
+from gfmswing import limiter
 from gfmswing.limiter import ViValue, vi_drop
 
 
@@ -83,12 +82,6 @@ def test_variable_gain_simple():
     assert variable_vi_gain(params) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_gain_rejects_bad_thresholds():
-    broken = SimpleNamespace(i_max=1.0, i_th=1.0, vi_ratio=1.0, e_ref=Phasor(1.0, 0.0))
-    with pytest.raises(InvalidThresholds):
-        vi_gain_from_drop(1.0, broken)
-
-
 def test_vi_from_current_boundary_and_formula():
     assert vi_from_current(1.0, 0.5, 2.0, 1.0) == ViValue(0.0, 0.0)
     assert vi_from_current(0.5, 0.5, 2.0, 1.0) == ViValue(0.0, 0.0)
@@ -140,6 +133,15 @@ def test_solve_zero_drive():
     assert mag == pytest.approx(0.0, abs=1e-12)
     assert vi == ViValue(0.0, 0.0)
     assert sol.z_apparent is None
+
+
+def test_stalled_solve_reports_its_residual(monkeypatch):
+    # one Newton step from the right end of the bracket cannot meet the tolerance
+    monkeypatch.setattr(limiter, "MAX_SOLVE_ITER", 1)
+    params = SystemParams()
+    gain = variable_vi_gain(params)
+    with pytest.raises(NoConvergence, match=r"stalled at m=\S+ \(residual -?\d\S*\)$"):
+        solve_limited_current(2.0 + 0j, params.z_sigma, gain, params.vi_ratio, params.i_th)
 
 
 def test_solve_at_pi_matches_bisection_oracle():

@@ -83,6 +83,14 @@ def test_params_validation():
         SystemParams(alpha_vi=-1.0)
 
 
+@pytest.mark.parametrize("name", ["z_g", "z_l", "z_tr"])
+def test_params_reject_non_passive_impedances(name):
+    # a negative resistance or reactance lets the virtual impedance cancel the loop
+    for bad in (Phasor(-0.3, 0.6), Phasor(0.03, -0.6)):
+        with pytest.raises(ValueError, match=f"{name} = .*not passive"):
+            SystemParams(**{name: bad})
+
+
 def test_vi_ratio_defaults_to_total_impedance_angle():
     params = SystemParams()
     assert params.vi_ratio == pytest.approx(math.tan(params.z_sigma.ang))
@@ -178,6 +186,23 @@ def test_faulted_loop_geometry():
     )) < 1e-12
     with pytest.raises(ValueError):
         solve_faulted(0j, params, fraction=1.5)
+
+
+def faulted_inline(z_vi, params, fraction):
+    """The faulted loop by direct algebra: the reference over the path impedance
+    plus ``z_vi``, and each voltage the current times its impedance."""
+    z_path = params.z_tr + fraction * params.z_l
+    current = params.e_ref / (z_path + z_vi)
+    v_relay = current * (fraction * params.z_l)
+    return current, current * z_path, v_relay, v_relay / current
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 1.0])
+def test_faulted_loop_is_the_series_loop_with_a_zero_far_source(fraction):
+    params = SystemParams()
+    for z_vi in (0j, 0.05 + 0.6j, 0.3 + 0j, 1.2j):
+        sol = solve_faulted(z_vi, params, fraction)
+        assert (sol.current, sol.v_pcc, sol.v_relay, sol.z_apparent) == faulted_inline(z_vi, params, fraction)
 
 
 def test_parameters_are_phasors_and_results_plain_complex():

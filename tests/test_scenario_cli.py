@@ -29,6 +29,7 @@ from gfmswing import (
     run_scenario,
     p_delta_curve,
 )
+from gfmswing import dynamics
 from gfmswing.cases import CASE_IDS, build_case, case_d_system
 from gfmswing.cli import _first_swing_period, main
 from gfmswing.dynamics import event_step
@@ -234,6 +235,39 @@ def test_cli_sweep_without_events_has_no_verdict(tmp_path):
     (row,) = json.loads((out / "summary.json").read_text())["sweep"]
     assert [row[key] for key in ("verdict", "max_delta_excursion", "pole_slips")] == [None, None, None]
     assert (out / "sweep.csv").read_text().splitlines()[1].endswith(",,,,")
+
+
+def test_cli_sweep_does_not_walk_the_relay(tmp_path, monkeypatch):
+    # nothing in sweep.csv or summary.json reads the relay
+    calls = 0
+    walk = dynamics.relay_step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(dynamics, "relay_step", counted)
+    path = tmp_path / "b2.json"
+    save_scenario(replace(build_case("caseB2"), dt=2e-3), path)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["scenario"]["relay"] is not None
+
+
+def test_cli_rejects_a_non_passive_system(tmp_path, capsys):
+    # a negative grid resistance lets the variable VI cancel the loop: without
+    # the rule, caseB2's fault drives |I| to 1 595 pu against i_max = 1.2
+    raw = scenario_to_dict(build_case("caseB2"))
+    raw["system"]["z_g"] = [-0.3, 0.6]
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: system: z_g = ")
+    # the reference and Case-D systems are passive
+    for scn in (build_case("caseB2"), build_case("caseD")):
+        save_scenario(scn, path)
+        assert load_scenario(path).system == scn.system
 
 
 def test_cli_simulate_byte_identical_reruns(tmp_path):
