@@ -24,6 +24,7 @@ from .limiter import (
     Strategy,
     ViValue,
     _limited_magnitude,
+    _loop_magnitude,
     adaptive_vi_step,
     solve_limited_current,
     solve_variable_vi_current,
@@ -227,11 +228,12 @@ def run_scenario(scenario) -> SimulationRecord:
     recorded impedance afterwards; an undefined impedance is recorded as NaN
     and lies outside every characteristic.
 
-    The stages solve the loop from per-run floats with the same limited root
-    and loop algebra as ``electrical_power``, bit for bit: four limited solves
-    per healthy step (the first stage reuses the last sample unless an event
-    fired or the gain moved), and one per faulted step, whose loop does not
-    depend on the angle.
+    The stages solve the loop from per-run floats with the loop algebra of
+    ``electrical_power``: four limited solves per healthy step (the first stage
+    reuses the last sample unless an event fired or the gain moved), and one
+    per faulted step, whose loop does not depend on the angle. Without an explicit
+    ``alpha_vi`` the VI lies along z_sigma, and the healthy root is the closed-form
+    ``_loop_magnitude``; the faulted loop and an explicit ratio take rtsafe.
     """
     system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
     events, dt = scenario.events, scenario.dt
@@ -241,6 +243,7 @@ def run_scenario(scenario) -> SimulationRecord:
     clamp = apcl.freq_clamp
     e_ref, v_g_mag, i_th, alpha = complex(system.e_ref), system.v_g_mag, system.i_th, system.vi_ratio
     z_sigma, z_relay = complex(system.z_sigma), complex(system.z_relay_to_grid)
+    closed, z_mag, vi_norm = system.alpha_vi is None, abs(z_sigma), math.sqrt(1.0 + alpha * alpha)
 
     delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (np.empty(n) for _ in range(8))
     t_arr = np.concatenate(([0.0], np.cumsum(np.full(n - 1, dt))))  # a running sum of dt, added in order
@@ -251,13 +254,16 @@ def run_scenario(scenario) -> SimulationRecord:
     faulted, frac, next_event = False, 0.5, 0
     adaptive = AdaptiveState()
     gain = _limiter_gain(cfg, adaptive, system)
+    k_vi = gain * vi_norm
 
     def evaluate(d: float) -> tuple[float, float, complex | None, float]:
         """p_e, |I|, apparent impedance and VI resistance at angle ``d`` under the step's gain."""
         if faulted:
             return fault_sample
         v_far = v_g_mag * cmath.exp(-1j * d)
-        m = _limited_magnitude(abs(e_ref - v_far), z_sigma, gain, alpha, i_th)
+        e_mag = abs(e_ref - v_far)
+        m = (_loop_magnitude(e_mag, z_mag, k_vi, i_th) if closed
+             else _limited_magnitude(e_mag, z_sigma, gain, alpha, i_th))
         r_vi = gain * (m - i_th) if m > i_th else 0.0
         current, v_pcc, _, z = _series_loop(v_far, complex(r_vi, alpha * r_vi), e_ref, z_sigma, z_relay)
         return _pcc_power(v_pcc, current), abs(current), z, r_vi
@@ -303,6 +309,7 @@ def run_scenario(scenario) -> SimulationRecord:
         if k and adaptive_pi:
             adaptive = adaptive_vi_step(adaptive, i_mag, dt, cfg, system.i_max)
             gain = _limiter_gain(cfg, adaptive, system)
+            k_vi = gain * vi_norm
 
     relay = RelayState()
     if scenario.relay is not None:

@@ -131,8 +131,8 @@ def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: floa
     ``m`` and the limited root is unique. A safeguarded Newton iteration
     (rtsafe, Numerical Recipes 9.4) starts at the right end of the bracket,
     where the convex residual makes it descend monotonically, and falls back
-    to bisection whenever a step would leave the bracket. Also the limited
-    solve of ``dynamics.run_scenario``.
+    to bisection whenever a step would leave the bracket. ``run_scenario``
+    takes it for the faulted loop and for an explicit ``alpha_vi``.
     """
     if e_mag == 0.0:
         return 0.0
@@ -173,6 +173,18 @@ def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: floa
             return m
 
     raise NoConvergence(f"implicit current solve stalled at m={m!r} (residual {residual!r})")
+
+
+def _loop_magnitude(e_mag: float, z_mag: float, k: float, i_th: float) -> float:
+    """Root of the limited loop when the VI lies along a loop of magnitude ``z_mag``: the quadratic
+    k*m^2 + b*m - e_mag = 0, b = z_mag - k*i_th, k = gain*sqrt(1 + alpha^2), in its cancellation-free
+    form for the sign of b; ``e_mag / z_mag`` at or below ``i_th`` or with k = 0."""
+    m = e_mag / z_mag
+    if k == 0.0 or m <= i_th:
+        return m
+    b = z_mag - k * i_th
+    disc = math.sqrt(b * b + 4.0 * k * e_mag)
+    return 2.0 * e_mag / (b + disc) if b >= 0.0 else (disc - b) / (2.0 * k)
 
 
 def solve_variable_vi_current(

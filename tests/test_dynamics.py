@@ -27,6 +27,7 @@ from gfmswing import (
     electrical_power,
     initial_state,
     line_distance,
+    p_delta_curve,
     relay_step,
     run_scenario,
     solve_faulted,
@@ -376,6 +377,18 @@ def test_initial_state_rejects_excess_setpoint():
         initial_state(system, ApclParams(h=7.0, d_p=0.05, p0=1.5), LimiterConfig())
 
 
+def test_case_e2_setpoint_has_no_unlimited_equilibrium():
+    # a model fact behind criterion 9: on the reference system Case E2's
+    # post-step setpoint lies above the peak of the unlimited power curve
+    scn = build_case("caseE2")
+    (step,) = scn.events
+    assert scn.system == SystemParams() and scn.limiter.strategy is Strategy.NONE
+    target = scn.apcl.p0 + step.value
+    assert p_delta_curve(Strategy.NONE, scn.system, n=10_000).peak < target
+    with pytest.raises(ValidationError, match="exceeds the deliverable power"):
+        initial_state(scn.system, replace(scn.apcl, p0=target), scn.limiter)
+
+
 # --- the integration kernel against the reference integrator ---------------
 
 
@@ -520,25 +533,47 @@ MIXED = make_scenario(
     horizon=6.0,
     relay=RelaySettings(),
 )
-KERNEL_SCENARIOS = {**{case: build_case(case) for case in CASE_IDS}, "criterion11": CRITERION_11, "mixed": MIXED}
+# an explicit VI ratio off the loop angle: the kernel's healthy loop falls back to rtsafe
+EXPLICIT_ALPHA = replace(MIXED, system=SystemParams(alpha_vi=3.0))
+KERNEL_SCENARIOS = {
+    **{case: build_case(case) for case in CASE_IDS},
+    "criterion11": CRITERION_11,
+    "mixed": MIXED,
+    "explicit-alpha": EXPLICIT_ALPHA,
+}
 RECORD_FIELDS = ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x", "psb", "ost")
+DELTA_TOL = 1e-10  # rad
+# relative and absolute, on every other float channel: the closed-form and rtsafe
+# roots differ by ulps, which the swing carries into the state; near a current zero
+# the apparent impedance grows as 1/|I| and takes that difference relative to itself
+CHANNEL_TOL = 1e-7
 
 
 @pytest.mark.parametrize("name", KERNEL_SCENARIOS)
 def test_kernel_matches_reference_integrator(name):
     scn = replace(KERNEL_SCENARIOS[name], dt=2e-3)
     got, want = run_scenario(scn), reference_run(scn)
-    for field in RECORD_FIELDS:
-        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
     assert got.relay_events == want.relay_events
-    if name == "mixed":
+    # with an explicit ratio both sides take rtsafe, bit for bit
+    exact = RECORD_FIELDS if scn.system.alpha_vi is not None else ("t", "psb", "ost")
+    for field in RECORD_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        if field in exact:
+            assert np.array_equal(a, b, equal_nan=True), field
+        elif field == "delta":
+            assert np.max(np.abs(a - b)) <= DELTA_TOL
+        else:
+            np.testing.assert_allclose(a, b, rtol=CHANNEL_TOL, atol=CHANNEL_TOL, equal_nan=True, err_msg=field)
+    if name in ("mixed", "explicit-alpha"):
         assert (got.vi_r > 0.0).any() and got.relay_events
 
 
 RAISING = {
-    # one Newton step cannot converge once the jump activates the VI
+    # one Newton step cannot converge once the jump activates the VI; the
+    # explicit ratio keeps the healthy loop on rtsafe, which can stall
     "no-convergence": (
         {
+            "system": SystemParams(alpha_vi=3.0),
             "limiter": LimiterConfig(strategy=Strategy.VARIABLE_VI),
             "events": (Event(0.01, EventKind.PHASE_JUMP, 0.9),),
             "horizon": 0.1,
@@ -570,23 +605,29 @@ def test_kernel_raises_like_reference(name, monkeypatch):
 
 
 def test_kernel_limited_solve_count(monkeypatch):
-    # 4 limited solves per healthy step without an event (k1 reuses the last
-    # sample), 5 on the fault-clearing step, 1 per faulted step
-    calls = 0
-    solve = limiter._limited_magnitude
+    # closed-form roots: 4 per healthy step without an event (k1 reuses the last
+    # sample), 5 on the fault-clearing step and 1 for the first sample; rtsafe:
+    # 1 per faulted step, whose loop is not along the VI, and the initial state
+    calls = {"closed": 0, "rtsafe": 0}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return solve(*args)
+    def counted(name, solve):
+        def wrapper(*args):
+            calls[name] += 1
+            return solve(*args)
 
-    monkeypatch.setattr(limiter, "_limited_magnitude", counted)
-    monkeypatch.setattr(dynamics, "_limited_magnitude", counted)
+        return wrapper
+
+    rtsafe = counted("rtsafe", limiter._limited_magnitude)
+    monkeypatch.setattr(limiter, "_limited_magnitude", rtsafe)
+    monkeypatch.setattr(dynamics, "_limited_magnitude", rtsafe)
+    monkeypatch.setattr(dynamics, "_loop_magnitude", counted("closed", limiter._loop_magnitude))
     scn = replace(build_case("caseB2"), dt=2e-3, relay=None)
     initial_state(scn.system, scn.apcl, scn.limiter)
-    setup, calls = calls, 0
+    assert calls["closed"] == 0
+    setup, calls["rtsafe"] = calls["rtsafe"], 0
     rec = run_scenario(scn)
     applied, cleared = (ev.time for ev in scn.events)
     faulted = round((cleared - applied) / scn.dt)
     healthy = len(rec) - 1 - faulted - 1  # steps without an event
-    assert calls == setup + 1 + 4 * healthy + 5 + faulted  # the first sample is one more
+    assert calls["closed"] == 1 + 4 * healthy + 5
+    assert calls["rtsafe"] == setup + faulted

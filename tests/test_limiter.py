@@ -25,7 +25,8 @@ from gfmswing import (
     vi_gain_from_drop,
 )
 from gfmswing import limiter
-from gfmswing.limiter import ViValue, vi_drop
+from gfmswing.cases import case_d_system
+from gfmswing.limiter import ViValue, _limited_magnitude, _loop_magnitude, vi_drop
 
 
 def bisect_limited(drive, z_ext, gain, alpha, i_th):
@@ -185,6 +186,52 @@ def test_solve_consistent_over_active_range():
             alpha_f = z_ext.imag / z_ext.real
             mag_f, _ = solve_limited_current(drive, z_ext, gain, alpha_f, params.i_th)
             assert abs(mag_f - collinear_root(drive, z_ext, gain, alpha_f, params.i_th)) <= 1e-12
+
+
+LOOP_SYSTEMS = {"reference": SystemParams(), "caseD": case_d_system()}
+
+
+@pytest.mark.parametrize("system", LOOP_SYSTEMS)
+def test_vi_lies_along_the_loop_without_explicit_ratio(system):
+    # the fact the kernel's closed-form root rests on: with alpha_vi unset the
+    # VI direction atan(vi_ratio) is the angle of z_sigma, bit for bit
+    params = LOOP_SYSTEMS[system]
+    assert params.alpha_vi is None
+    assert cmath.phase(params.z_sigma) == math.atan(params.vi_ratio)
+
+
+@pytest.mark.parametrize("system", LOOP_SYSTEMS)
+def test_closed_form_root_matches_rtsafe_over_the_cycle(system):
+    params = LOOP_SYSTEMS[system]
+    z_sigma, alpha, i_th = complex(params.z_sigma), params.vi_ratio, params.i_th
+    norm = math.sqrt(1.0 + alpha * alpha)
+    grid = np.linspace(0.0, 2.0 * math.pi, 20_000)
+    drives = [abs(params.e_ref - params.v_g_mag * cmath.exp(-1j * float(d))) for d in grid]
+    gains = [variable_vi_gain(params), 0.3] + [vi_gain_from_drop(drop, params) for drop in (0.01, 0.1, 0.5, 2.0)]
+    for gain in gains:
+        active, worst = 0, 0.0
+        for e_mag in drives:
+            want = _limited_magnitude(e_mag, z_sigma, gain, alpha, i_th)
+            got = _loop_magnitude(e_mag, abs(z_sigma), gain * norm, i_th)
+            active += want > i_th
+            worst = max(worst, abs(got - want) / want if want else got)
+        assert worst <= 1e-15, (gain, worst)
+        assert active > 10_000  # most of the grid exercises the quadratic
+
+
+def test_closed_form_root_is_exact_at_or_below_threshold_and_at_zero_gain():
+    params = SystemParams()
+    z_sigma, i_th = complex(params.z_sigma), params.i_th
+    z_mag, gain = abs(z_sigma), variable_vi_gain(params)
+    k = gain * math.sqrt(1.0 + params.vi_ratio**2)
+    for e_mag in (0.0, 0.5 * i_th * z_mag, i_th * z_mag):
+        assert e_mag / z_mag <= i_th
+        assert _loop_magnitude(e_mag, z_mag, k, i_th) == e_mag / z_mag
+        assert _limited_magnitude(e_mag, z_sigma, gain, params.vi_ratio, i_th) == e_mag / z_mag
+    for e_mag in (1.5 * i_th * z_mag, 2.0):
+        assert _loop_magnitude(e_mag, z_mag, 0.0, i_th) == e_mag / z_mag
+        assert _limited_magnitude(e_mag, z_sigma, 0.0, params.vi_ratio, i_th) == e_mag / z_mag
+        assert _loop_magnitude(e_mag, z_mag, k, i_th) < e_mag / z_mag  # the VI limits it
 
 
 def test_bolted_terminal_design_current():
