@@ -9,7 +9,6 @@ writes CSV files plus a ``summary.json`` into the output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
@@ -56,18 +55,24 @@ def _out_dir(args, scn: Scenario) -> Path:
 
 
 def _write_csv(path: Path, columns: dict) -> None:
-    """A CSV file from a header -> column mapping.
+    """A CSV file from a header -> column mapping, in the bytes ``csv.writer`` writes.
 
     Array columns become Python values chunk by chunk, bool arrays as 0/1;
     sequence columns hold Python values already (``None`` is an empty cell).
+    Cells are joined as they are: no header or string value a command writes
+    holds a comma, a quote or a line break, so none needs quoting.
     """
     cols = [c.view(np.uint8) if isinstance(c, np.ndarray) and c.dtype == bool else c for c in columns.values()]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        fh.write(",".join(columns) + "\r\n")
         for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
             chunks = (c[start : start + CSV_CHUNK_ROWS] for c in cols)
-            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunks)))
+            cells = (
+                map(repr, c.tolist()) if isinstance(c, np.ndarray) else ("" if v is None else str(v) for v in c)
+                for c in chunks
+            )
+            # the chunk's lists live only inside this call, so they are freed before the next chunk's
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def _boundary_angles(scn: Scenario) -> dict:

@@ -11,6 +11,7 @@ setpoint steps; the frequency deviation is hard-clamped after every step.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,7 @@ from .limiter import (
     vi_gain_from_drop,
 )
 from .network import NetworkSolution, SystemParams, _pcc_power, _series_loop, active_power, solve_faulted
-from .relay import RelayState, relay_step
+from .relay import RelaySettings, RelayState, crossings, relay_step
 
 
 @dataclass(frozen=True)
@@ -224,9 +225,10 @@ def run_scenario(scenario) -> SimulationRecord:
     of ``dt``. Each step applies its events, resolves the VI gain once from the
     adaptive PI state, takes one RK4 step of the swing, clamps the frequency
     deviation and records the end-of-step sample, on whose current the PI
-    then advances. The relay never acts back on the swing, so it walks the
-    recorded impedance afterwards; an undefined impedance is recorded as NaN
-    and lies outside every characteristic.
+    then advances. The relay never acts back on the swing, so it observes the
+    recorded impedance afterwards, stepping only at the samples where its state
+    can change (``_observe``); an undefined impedance is recorded as NaN and
+    lies outside every characteristic.
 
     The stages solve the loop from per-run floats with the loop algebra of
     ``electrical_power``: four limited solves per healthy step (the first stage
@@ -247,7 +249,6 @@ def run_scenario(scenario) -> SimulationRecord:
 
     delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (np.empty(n) for _ in range(8))
     t_arr = np.concatenate(([0.0], np.cumsum(np.full(n - 1, dt))))  # a running sum of dt, added in order
-    psb_arr, ost_arr = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
 
     delta = initial_state(system, apcl, cfg)
     omega, p0 = 0.0, apcl.p0
@@ -311,12 +312,10 @@ def run_scenario(scenario) -> SimulationRecord:
             gain = _limiter_gain(cfg, adaptive, system)
             k_vi = gain * vi_norm
 
-    relay = RelayState()
-    if scenario.relay is not None:
-        for k in range(n):
-            relay_step(relay, complex(zre_arr[k], zim_arr[k]), float(t_arr[k]), dt, scenario.relay)
-            psb_arr[k] = relay.psb_asserted
-            ost_arr[k] = relay.ost_tripped
+    if scenario.relay is None:
+        psb_arr, ost_arr, relay_events = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), []
+    else:
+        psb_arr, ost_arr, relay_events = _observe(zre_arr, zim_arr, t_arr, dt, scenario.relay)
 
     return SimulationRecord(
         t=t_arr,
@@ -330,7 +329,37 @@ def run_scenario(scenario) -> SimulationRecord:
         vi_x=vix_arr,
         psb=psb_arr,
         ost=ost_arr,
-        relay_events=relay.event_log,
+        relay_events=relay_events,
         events=events,
         dt=dt,
     )
+
+
+def _observe(zre, zim, t, dt: float, settings: RelaySettings) -> tuple[np.ndarray, np.ndarray, list]:
+    """PSB and OST flags per sample and the event log of a relay watching the stream.
+
+    Between two ``crossings`` the relay's state changes only by a zone trip,
+    which falls ``max(0, ceil(time_delay/dt - 1e-6))`` samples after the
+    zone's entry: the lag at which ``relay_step`` trips. So ``relay_step``
+    takes only the crossings and those pending trips, and each flag holds its
+    value until the next of them. A lag whose ratio is infinite or beyond the
+    record is never reached.
+    """
+    n = len(zre)
+    ratios = (zone.time_delay / dt - 1e-6 for zone in settings.zones)
+    lags = [max(0, math.ceil(r)) if r < n else None for r in ratios]
+    psb, ost = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    todo = crossings(zre, zim, settings).tolist()  # ascending, so already a heap
+    state, walked = RelayState(), 0
+    while todo:
+        k = heapq.heappop(todo)
+        if k < state.samples:  # a pending trip on a crossing already walked
+            continue
+        psb[walked:k], ost[walked:k] = state.psb_asserted, state.ost_tripped
+        state.samples = walked = k
+        relay_step(state, complex(zre[k], zim[k]), float(t[k]), dt, settings)
+        for entry, lag in zip(state.zone_entry, lags):
+            if entry == k and lag and k + lag < n:  # a zero lag tripped in this call
+                heapq.heappush(todo, k + lag)
+    psb[walked:], ost[walked:] = state.psb_asserted, state.ost_tripped
+    return psb, ost, state.event_log

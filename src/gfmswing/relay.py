@@ -12,7 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .network import Phasor
+
+CROSSING_BLOCK = 4096  # samples tested at a time; whole-record temporaries would raise peak memory
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,11 @@ class RelaySettings:
 class RelayState:
     """Occupancy, entry samples and latched decisions of one relay instance.
 
-    ``relay_step`` advances it in place, one call per sample, and ``samples``
-    counts the calls. ``outer_entry`` is the sample that entered the outer
+    ``relay_step`` advances it in place by one sample: ``samples`` is the
+    sample the next call takes, and each call advances it by one. A walk that
+    skips samples sets it before each call; ``dynamics.run_scenario`` calls
+    only at ``crossings`` and at pending zone trips, between which a per-sample
+    walk changes nothing. ``outer_entry`` is the sample that entered the outer
     blinder and ``zone_entry[k]`` the one that entered zone k + 1, each ``None``
     while outside. ``zone_entry`` starts empty and takes one entry per zone of
     the settings at the first ``relay_step``; ``event_log`` holds one
@@ -201,3 +208,28 @@ def relay_step(
             if lag >= delay > lag - 1:  # one sample per dwell reaches the delay
                 log.append((t, "trip", f"zone{k + 1}"))
     return state
+
+
+def crossings(zre: np.ndarray, zim: np.ndarray, settings: RelaySettings) -> np.ndarray:
+    """Sample 0 and, in order, every sample whose set of containing characteristics
+    differs from the previous sample's.
+
+    Membership takes the float arithmetic of ``blinder_contains`` and
+    ``mho_contains`` element by element, so a NaN sample lies outside every
+    characteristic. The record is tested ``CROSSING_BLOCK`` samples at a time,
+    each block overlapping the previous one by a sample.
+    """
+    found = [np.zeros(1, dtype=np.intp)]
+    for start in range(1, len(zre), CROSSING_BLOCK):
+        re, im = zre[start - 1 : start + CROSSING_BLOCK], zim[start - 1 : start + CROSSING_BLOCK]
+        changed = np.zeros(len(re) - 1, dtype=bool)
+        for b in (settings.outer, settings.middle, settings.inner):
+            u = re - im / math.tan(math.radians(b.tilt_deg))
+            inside = (b.lft <= u) & (u <= b.rgt) & (b.rev <= im) & (im <= b.fwd)
+            changed |= inside[1:] != inside[:-1]
+        for zone in settings.zones:
+            center = 0.5 * zone.reach
+            inside = np.hypot(re - center.real, im - center.imag) <= abs(center)
+            changed |= inside[1:] != inside[:-1]
+        found.append(np.flatnonzero(changed) + start)
+    return np.concatenate(found)

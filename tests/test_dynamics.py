@@ -277,27 +277,6 @@ def test_case_b2_full_cycle_unstable():
     assert span > 2 * math.pi  # the unwrapped angle traverses a full cycle
 
 
-def test_relay_is_an_observer():
-    # the relay reads the impedance stream and never acts back on the swing
-    scn = replace(build_case("caseB2"), horizon=8.0, dt=1e-3)
-    watched = run_scenario(scn)
-    blind = run_scenario(replace(scn, relay=None))
-    for channel in ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x"):
-        assert np.array_equal(getattr(watched, channel), getattr(blind, channel), equal_nan=True)
-    assert not blind.psb.any() and not blind.relay_events
-    # replaying the relay over the relay-less record reproduces its outputs
-    relay = RelayState()
-    psb, ost = [], []
-    for t, z_re, z_im in zip(blind.t, blind.zapp_re, blind.zapp_im):
-        relay = relay_step(relay, complex(z_re, z_im), float(t), scn.dt, scn.relay)
-        psb.append(relay.psb_asserted)
-        ost.append(relay.ost_tripped)
-    assert np.array_equal(watched.psb, psb) and np.array_equal(watched.ost, ost)
-    assert watched.relay_events == relay.event_log
-    kinds = {kind for _, kind, _ in watched.relay_events}
-    assert {"psb_assert", "ost_trip", "trip"} <= kinds
-
-
 OVERFLOWING_STEPS = (Event(0.1, EventKind.POWER_STEP, 1e308), Event(0.2, EventKind.POWER_STEP, 1e308))
 
 
@@ -541,6 +520,36 @@ KERNEL_SCENARIOS = {
     "mixed": MIXED,
     "explicit-alpha": EXPLICIT_ALPHA,
 }
+# the built-in cases, criterion 11 and MIXED with their relays, and caseD with wider settings
+OBSERVED = {
+    **{name: KERNEL_SCENARIOS[name] for name in (*CASE_IDS, "criterion11", "mixed")},
+    "caseD-scaled1.5": replace(build_case("caseD"), relay=RelaySettings().scaled(1.5)),
+}
+
+
+@pytest.mark.parametrize("name", OBSERVED)
+def test_relay_is_an_observer(name):
+    # the relay reads the impedance stream and never acts back on the swing
+    scn = replace(OBSERVED[name], dt=2e-3)
+    watched = run_scenario(scn)
+    blind = run_scenario(replace(scn, relay=None))
+    for channel in ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x"):
+        assert np.array_equal(getattr(watched, channel), getattr(blind, channel), equal_nan=True)
+    assert not blind.psb.any() and not blind.ost.any() and not blind.relay_events
+    # relay_step on every sample of the relay-less record gives what the run's walk at
+    # the crossings and pending trips gave
+    relay = RelayState()
+    psb, ost = [], []
+    for t, z_re, z_im in zip(blind.t, blind.zapp_re, blind.zapp_im):
+        relay = relay_step(relay, complex(z_re, z_im), float(t), scn.dt, scn.relay)
+        psb.append(relay.psb_asserted)
+        ost.append(relay.ost_tripped)
+    assert np.array_equal(watched.psb, psb) and np.array_equal(watched.ost, ost)
+    assert watched.relay_events == relay.event_log
+    if name == "caseB2":
+        assert {"psb_assert", "ost_trip", "trip"} <= {kind for _, kind, _ in watched.relay_events}
+
+
 RECORD_FIELDS = ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x", "psb", "ost")
 DELTA_TOL = 1e-10  # rad
 # relative and absolute, on every other float channel: the closed-form and rtsafe

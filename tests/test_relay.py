@@ -18,6 +18,8 @@ from gfmswing import (
     run_scenario,
 )
 from gfmswing.cases import CASE_IDS, build_case
+from gfmswing.dynamics import _observe
+from gfmswing.relay import CROSSING_BLOCK, crossings
 from test_dynamics import CRITERION_11, MIXED
 
 DT = 5e-4
@@ -141,12 +143,28 @@ def test_zone2_timer_and_reset():
 LOAD = complex(2.0, 0.3)
 
 
+def observe_both_ways(points, settings, dt=DT, t=None):
+    """Walk ``points`` with ``relay_step`` on every sample and with the run's walk at
+    the crossings and pending trips (``dynamics._observe``); the PSB and OST flags
+    and the event log must agree. ``t`` stamps the samples (default: their index).
+    Returns the log."""
+    z = np.array(points, dtype=complex)
+    zre, zim = z.real, z.imag
+    t = np.arange(len(points), dtype=float) if t is None else t
+    state, psb, ost = RelayState(), [], []
+    for k in range(len(points)):
+        relay_step(state, complex(zre[k], zim[k]), float(t[k]), dt, settings)
+        psb.append(state.psb_asserted)
+        ost.append(state.ost_tripped)
+    got_psb, got_ost, log = _observe(zre, zim, t, dt, settings)
+    assert np.array_equal(got_psb, psb) and np.array_equal(got_ost, ost)
+    assert typed(log) == typed(state.event_log)
+    return log
+
+
 def sample_stamps(points, settings, dt=DT):
-    """Walk ``points`` with each sample's index as its log stamp; returns the log."""
-    state = RelayState()
-    for k, z in enumerate(points):
-        relay_step(state, z, k, dt, settings)
-    return state.event_log
+    """Walk ``points`` both ways with each sample's index as its log stamp; returns the log."""
+    return observe_both_ways(points, settings, dt)
 
 
 @pytest.mark.parametrize("zone, scale, lag", [(3, 0.9, 2000), (2, 0.9, 1000), (1, 0.5, 0)])
@@ -464,3 +482,67 @@ def test_relay_matches_reference_on_random_walks(settings):
     for points in random_walks():
         n_events += assert_relays_agree(((k * DT, z) for k, z in enumerate(points)), DT, settings)
     assert n_events
+
+
+# --- the run's walk at crossings against relay_step on every sample -----------
+
+# zone delays of 1, 3 and 9 samples: many dwells trip strictly between two crossings
+SHORT_DELAYS = replace(
+    RelaySettings(),
+    zones=tuple(replace(zone, time_delay=d * DT) for zone, d in zip(RelaySettings().zones, (1, 3, 9))),
+)
+
+
+@pytest.mark.parametrize(
+    "settings, min_between", [(RelaySettings(), 0), (SHORT_DELAYS, 100)], ids=["reference", "short-delays"]
+)
+def test_walk_at_crossings_matches_every_sample_on_random_walks(settings, min_between):
+    between = 0  # trips on a sample that is no crossing: only a pending trip reaches it
+    for points in random_walks():
+        log = observe_both_ways(points, settings, t=np.arange(len(points)) * DT)
+        z = np.array(points)
+        marks = set(crossings(z.real, z.imag, settings).tolist())
+        between += sum(round(t / DT) not in marks for t, event, _ in log if event == "trip")
+    assert between >= min_between
+
+
+def membership(z, settings):
+    """Characteristics containing ``z``, by the scalar predicates."""
+    blinders = (settings.outer, settings.middle, settings.inner)
+    return tuple(blinder_contains(z, b) for b in blinders) + tuple(mho_contains(z, m) for m in settings.zones)
+
+
+def boundary_points(settings, rng, n):
+    """``n`` points on, and within an ulp or two of, every blinder side and mho circle,
+    with NaN and infinite samples among them."""
+    cot = 1.0 / math.tan(math.radians(settings.outer.tilt_deg))
+    out = []
+    while len(out) < n:
+        b = (settings.outer, settings.middle, settings.inner)[rng.integers(3)]
+        x = rng.uniform(b.rev, b.fwd)
+        side = rng.integers(5)
+        if side < 2:
+            z = complex((b.lft, b.rgt)[side] + x * cot, x)
+        elif side < 4:
+            x = (b.rev, b.fwd)[side - 2]
+            z = complex(rng.uniform(b.lft, b.rgt) + x * cot, x)
+        else:
+            center = 0.5 * complex(settings.zones[rng.integers(len(settings.zones))].reach)
+            z = center + abs(center) * complex(math.cos(x * 6.0), math.sin(x * 6.0))
+        ulps = rng.integers(-2, 3, size=2)
+        out.append(complex(z.real + ulps[0] * math.ulp(z.real), z.imag + ulps[1] * math.ulp(z.imag)))
+        if rng.random() < 0.01:
+            out.append(complex(rng.choice([math.nan, math.inf, -math.inf]), x))
+    return out[:n]
+
+
+@pytest.mark.parametrize("settings", [RelaySettings(), RelaySettings().scaled(2 / 3)], ids=["reference", "caseD"])
+def test_crossings_match_scalar_membership(settings):
+    # past two blocks, so the overlap at each block boundary is crossed too
+    points = boundary_points(settings, np.random.default_rng(7), 2 * CROSSING_BLOCK + 500)
+    inside = [membership(z, settings) for z in points]
+    want = [0] + [k for k in range(1, len(points)) if inside[k] != inside[k - 1]]
+    z = np.array(points)
+    got = crossings(z.real, z.imag, settings)
+    assert got.tolist() == want
+    assert len(want) > len(points) // 4

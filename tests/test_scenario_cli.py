@@ -1,6 +1,10 @@
 """Scenario file handling and command-line front end."""
 
+import ast
 import csv
+import dataclasses
+import inspect
+import io
 import itertools
 import json
 import math
@@ -14,6 +18,7 @@ import pytest
 from gfmswing import (
     ApclParams,
     Blinder,
+    Classification,
     Event,
     EventKind,
     LimiterConfig,
@@ -29,10 +34,10 @@ from gfmswing import (
     run_scenario,
     p_delta_curve,
 )
-from gfmswing import dynamics
+from gfmswing import dynamics, relay
 from gfmswing.cases import CASE_IDS, build_case, case_d_system
-from gfmswing.cli import _first_swing_period, main
-from gfmswing.dynamics import event_step
+from gfmswing.cli import CSV_CHUNK_ROWS, _first_swing_period, _write_csv, main
+from gfmswing.dynamics import SimulationRecord, event_step
 from gfmswing.scenario import (
     MAX_STEPS,
     load_scenario,
@@ -659,3 +664,54 @@ def test_cli_simulate_case_e1_variable_verdict(tmp_path):
     assert summary["verdict"] == "unstable"
     assert summary["pole_slips"] >= 1
     assert summary["scenario"]["limiter"]["strategy"] == "variable"
+
+
+def csv_writer_bytes(columns: dict) -> bytes:
+    """The file ``csv.writer`` writes for a header -> column mapping, bools as 0/1."""
+    cols = [c.astype(np.uint8) if isinstance(c, np.ndarray) and c.dtype == bool else c for c in columns.values()]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
+    return buf.getvalue().encode()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5, 2.0**53 + 2]
+    objects = [None, "stable", 3, -0.0, 1e16, np.float64(0.1 + 0.2), math.nan, True, "", 1e-05, 7]
+    rows = CSV_CHUNK_ROWS + 3  # past one chunk
+    columns = {
+        "f": np.resize(np.array(floats), rows),
+        "flag": np.resize(np.array([True, False, False]), rows),
+        "i": np.arange(rows) - 5,
+        "obj": (objects * rows)[:rows],
+    }
+    _write_csv(tmp_path / "x.csv", columns)
+    assert (tmp_path / "x.csv").read_bytes() == csv_writer_bytes(columns)
+    _write_csv(tmp_path / "empty.csv", {"t": [], "event": [], "element": []})
+    assert (tmp_path / "empty.csv").read_bytes() == b"t,event,element\r\n"
+
+
+def relay_step_strings() -> list[str]:
+    """Every string literal in ``relay_step`` but its docstring: the event and
+    element names it logs, and the fixed parts of the formatted ones."""
+    (func,) = ast.parse(inspect.getsource(relay.relay_step)).body
+    body = func.body[1:]  # the docstring goes
+    return [n.value for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def test_no_written_name_needs_quoting():
+    # _write_csv joins cells as they are; a name that csv.writer would quote breaks the file
+    names = [
+        *relay_step_strings(),
+        *(s.value for s in Segment),
+        *(c.value for c in Classification),
+        *(s.value for s in Strategy),
+        *(f.name for f in dataclasses.fields(SimulationRecord)),
+    ]
+    assert {"enter", "exit", "psb_assert", "psb_deassert", "fault_classified", "ost_trip", "trip"} <= set(names)
+    assert {"outer", "middle", "inner", "zone"} <= set(names)
+    for name in names:
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerow([name, name])
+        assert buf.getvalue() == f"{name},{name}\r\n", name
