@@ -21,7 +21,7 @@ from . import analysis, cases, dynamics
 from .errors import GfmSwingError, InsufficientHorizon, ValidationError
 from .limiter import Strategy, critical_angle
 from .scenario import Scenario, _float, _shown, load_scenario, scenario_to_dict
-from .trajectory import full_cycle
+from .trajectory import Segment, _cycle_loci
 
 MAX_SAMPLES = 1_000_000  # --samples cap: trajectory and pdelta hold every sample in memory
 CSV_CHUNK_ROWS = 4096  # rows converted to Python values at a time; whole columns would double peak memory
@@ -142,10 +142,8 @@ def cmd_trajectory(args) -> int:
     scn, n = _load(args), _samples(args)
     out = _out_dir(args, scn)
     strategy = scn.limiter.strategy
-    samples = full_cycle(strategy, scn.system, n_samples=n, gain=scn.limiter.k_vi)
-    delta = np.fromiter((s.delta for s in samples), float, len(samples))
-    z_app = np.fromiter((s.z_app for s in samples), complex, len(samples))
-    segment = [s.segment.value for s in samples]
+    delta, z_app, active, limited = _cycle_loci(strategy, scn.system, n, scn.limiter.k_vi)
+    segment = [limited.value if on else Segment.INACTIVE.value for on in active.tolist()]
     columns = {"delta": delta, "re": z_app.real, "im": z_app.imag, "segment": segment}
     label = f"trajectory {scn.name} [{strategy.value}]"
     _finish(out, scn, label, {"trajectory.csv": columns}, strategy=strategy.value, n_samples=n)

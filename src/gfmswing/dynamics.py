@@ -32,7 +32,7 @@ from .limiter import (
     variable_vi_gain,
     vi_gain_from_drop,
 )
-from .network import NetworkSolution, SystemParams, _pcc_power, _series_loop, active_power, solve_faulted
+from .network import ZERO_CURRENT_TOL, NetworkSolution, SystemParams, active_power, solve_faulted
 from .relay import RelaySettings, RelayState, crossings, relay_step
 
 
@@ -235,7 +235,11 @@ def run_scenario(scenario) -> SimulationRecord:
     reuses the last sample unless an event fired or the gain moved), and one
     per faulted step, whose loop does not depend on the angle. Without an explicit
     ``alpha_vi`` the VI lies along z_sigma, and the healthy root is the closed-form
-    ``_loop_magnitude``; the faulted loop and an explicit ratio take rtsafe.
+    ``_loop_magnitude``; the faulted loop and an explicit ratio take rtsafe. A
+    healthy stage needs only p_e = Re(V_pcc I*), which with V_pcc = V_far + z_sigma*I
+    is the two-source power-angle expression over the loop r_t + j*x_t (VI included)
+    plus R_sigma*|I|^2, in cos(delta) and sin(delta); the apparent impedance
+    z_relay + V_far*(r_t + j*x_t)/(E - V_far) is formed once per recorded sample.
     """
     system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
     events, dt = scenario.events, scenario.dt
@@ -243,8 +247,10 @@ def run_scenario(scenario) -> SimulationRecord:
     due = [event_step(ev.time, dt) for ev in events]
     adaptive_pi = cfg.strategy is Strategy.ADAPTIVE_VI
     clamp = apcl.freq_clamp
-    e_ref, v_g_mag, i_th, alpha = complex(system.e_ref), system.v_g_mag, system.i_th, system.vi_ratio
+    e, v_g_mag, i_th, alpha = system.e_ref.real, system.v_g_mag, system.i_th, system.vi_ratio
     z_sigma, z_relay = complex(system.z_sigma), complex(system.z_relay_to_grid)
+    r_sigma, x_sigma = z_sigma.real, z_sigma.imag
+    ve, vv = v_g_mag * e, v_g_mag * v_g_mag
     closed, z_mag, vi_norm = system.alpha_vi is None, abs(z_sigma), math.sqrt(1.0 + alpha * alpha)
 
     delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (np.empty(n) for _ in range(8))
@@ -257,17 +263,18 @@ def run_scenario(scenario) -> SimulationRecord:
     gain = _limiter_gain(cfg, adaptive, system)
     k_vi = gain * vi_norm
 
-    def evaluate(d: float) -> tuple[float, float, complex | None, float]:
-        """p_e, |I|, apparent impedance and VI resistance at angle ``d`` under the step's gain."""
+    def evaluate(d: float) -> tuple[float, float, float]:
+        """p_e, |I| and VI resistance at angle ``d`` under the step's gain."""
         if faulted:
             return fault_sample
-        v_far = v_g_mag * cmath.exp(-1j * d)
-        e_mag = abs(e_ref - v_far)
+        u = cmath.exp(-1j * d)  # not math.cos: a diverged angle gives NaN here, where math raises
+        c, s = u.real, -u.imag
+        e_mag = math.hypot(e - v_g_mag * c, v_g_mag * s)
         m = (_loop_magnitude(e_mag, z_mag, k_vi, i_th) if closed
              else _limited_magnitude(e_mag, z_sigma, gain, alpha, i_th))
         r_vi = gain * (m - i_th) if m > i_th else 0.0
-        current, v_pcc, _, z = _series_loop(v_far, complex(r_vi, alpha * r_vi), e_ref, z_sigma, z_relay)
-        return _pcc_power(v_pcc, current), abs(current), z, r_vi
+        rt, xt = r_sigma + r_vi, x_sigma + alpha * r_vi
+        return (ve * (rt * c + xt * s) - vv * rt) / (rt * rt + xt * xt) + m * m * r_sigma, m, r_vi
 
     for k in range(n):
         if k:
@@ -285,7 +292,8 @@ def run_scenario(scenario) -> SimulationRecord:
                     p0 += ev.value
             if faulted:
                 p_e, sol, vi = electrical_power(delta, gain, system, True, frac)
-                sample = fault_sample = p_e, abs(sol.current), sol.z_apparent, vi.r_vi
+                sample = fault_sample = p_e, abs(sol.current), vi.r_vi
+                fault_z = sol.z_apparent
             elif next_event != seen or gain != sample_gain:
                 sample = evaluate(delta)
             k1w, k1d = swing_derivatives(omega, p0, sample[0], apcl)
@@ -299,7 +307,14 @@ def run_scenario(scenario) -> SimulationRecord:
                 raise ValidationError(f"the swing diverged at t={t_arr[k].item()!r} s; dt={dt!r} is too coarse")
 
         sample, sample_gain = evaluate(delta), gain
-        p_e, i_mag, z, r_vi = sample
+        p_e, i_mag, r_vi = sample
+        if faulted:
+            z = fault_z
+        elif i_mag < ZERO_CURRENT_TOL:
+            z = None
+        else:
+            v_far = v_g_mag * cmath.exp(-1j * delta)
+            z = z_relay + v_far * (z_sigma + complex(r_vi, alpha * r_vi)) / (e - v_far)
         delta_arr[k] = delta
         omega_arr[k] = omega
         imag_arr[k] = i_mag

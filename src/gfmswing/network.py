@@ -146,7 +146,8 @@ def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkS
 def _series_loop(v_far: complex, z_vi: complex, e_ref: complex, z_loop: complex, z_relay: complex) -> tuple:
     """``NetworkSolution`` fields of a series loop from ``e_ref`` through ``z_vi`` and
     ``z_loop`` to a far source at ``v_far``, the relay bus sitting ``z_relay`` short
-    of the far source; also the loop algebra of ``dynamics.run_scenario``."""
+    of the far source. ``dynamics.run_scenario`` evaluates the same loop in real
+    arithmetic and is tested against it sample by sample."""
     z_total = z_loop + z_vi
     if abs(z_total) < 1e-12:
         raise DegenerateCircuit(f"series loop impedance {abs(z_total):.3e} with the far source at {v_far!r}")

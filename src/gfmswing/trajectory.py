@@ -147,6 +147,17 @@ def cycle_currents(
     return v_far, current, active
 
 
+def _cycle_loci(
+    strategy: Strategy, params: SystemParams, n_samples: int, gain: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Segment]:
+    """Power angles of the cycle grid, the relay's impedance at each, where the VI acts,
+    and the segment of the samples where it does."""
+    delta = _cycle_grid(n_samples)
+    v_far, current, active = cycle_currents(strategy, params, delta, gain)
+    limited = Segment.ACTIVE_ADAPTIVE if strategy is Strategy.ADAPTIVE_VI else Segment.ACTIVE_VARIABLE
+    return delta, params.z_relay_to_grid + v_far / current, active, limited
+
+
 def full_cycle(
     strategy: Strategy,
     params: SystemParams,
@@ -159,11 +170,7 @@ def full_cycle(
     infinity. Each impedance is the relay's reading of the loop current
     from ``cycle_currents``.
     """
-    delta = _cycle_grid(n_samples)
-    v_far, current, active = cycle_currents(strategy, params, delta, gain)
-    z_app = params.z_relay_to_grid + v_far / current
-    adaptive = strategy is Strategy.ADAPTIVE_VI
-    limited = Segment.ACTIVE_ADAPTIVE if adaptive else Segment.ACTIVE_VARIABLE
+    delta, z_app, active, limited = _cycle_loci(strategy, params, n_samples, gain)
     return [
         TrajectorySample(d, z, limited if on else Segment.INACTIVE)
         for d, z, on in zip(delta.tolist(), z_app.tolist(), active.tolist())

@@ -512,7 +512,7 @@ MIXED = make_scenario(
     horizon=6.0,
     relay=RelaySettings(),
 )
-# an explicit VI ratio off the loop angle: the kernel's healthy loop falls back to rtsafe
+# an explicit VI ratio off the loop angle: the kernel's healthy root falls back to rtsafe
 EXPLICIT_ALPHA = replace(MIXED, system=SystemParams(alpha_vi=3.0))
 KERNEL_SCENARIOS = {
     **{case: build_case(case) for case in CASE_IDS},
@@ -552,9 +552,10 @@ def test_relay_is_an_observer(name):
 
 RECORD_FIELDS = ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x", "psb", "ost")
 DELTA_TOL = 1e-10  # rad
-# relative and absolute, on every other float channel: the closed-form and rtsafe
-# roots differ by ulps, which the swing carries into the state; near a current zero
-# the apparent impedance grows as 1/|I| and takes that difference relative to itself
+# relative and absolute, on every other float channel: the kernel's real p_e and
+# closed-form root differ from the complex rtsafe path by ulps, which the swing carries
+# into the state; near a current zero the apparent impedance grows as 1/|I| and takes
+# that difference relative to itself
 CHANNEL_TOL = 1e-7
 
 
@@ -563,11 +564,9 @@ def test_kernel_matches_reference_integrator(name):
     scn = replace(KERNEL_SCENARIOS[name], dt=2e-3)
     got, want = run_scenario(scn), reference_run(scn)
     assert got.relay_events == want.relay_events
-    # with an explicit ratio both sides take rtsafe, bit for bit
-    exact = RECORD_FIELDS if scn.system.alpha_vi is not None else ("t", "psb", "ost")
     for field in RECORD_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
-        if field in exact:
+        if field in ("t", "psb", "ost"):
             assert np.array_equal(a, b, equal_nan=True), field
         elif field == "delta":
             assert np.max(np.abs(a - b)) <= DELTA_TOL
@@ -575,6 +574,50 @@ def test_kernel_matches_reference_integrator(name):
             np.testing.assert_allclose(a, b, rtol=CHANNEL_TOL, atol=CHANNEL_TOL, equal_nan=True, err_msg=field)
     if name in ("mixed", "explicit-alpha"):
         assert (got.vi_r > 0.0).any() and got.relay_events
+
+
+SAMPLE_TOL = 1e-13  # relative to max(1, |x|)
+SAMPLE_FIELDS = ("p_e", "i_mag", "zapp_re", "zapp_im", "vi_r", "vi_x")
+
+
+def fault_spans(scn: Scenario, n: int) -> np.ndarray:
+    """Per sample, the fault fraction in force, or NaN on a healthy sample."""
+    frac = np.full(n, np.nan)
+    for ev in scn.events:
+        k = event_step(ev.time, scn.dt)
+        if ev.kind is EventKind.FAULT_APPLY:
+            frac[k:] = 0.5 if ev.value is None else ev.value
+        elif ev.kind is EventKind.FAULT_CLEAR:
+            frac[k:] = np.nan
+    return frac
+
+
+@pytest.mark.parametrize("name", KERNEL_SCENARIOS)
+def test_kernel_samples_match_electrical_power(name):
+    # each recorded sample against the object path at the recorded angle and gain: a
+    # bound on the kernel's loop algebra alone, which does not grow with the drift of
+    # the trajectory; the adaptive gain is replayed from the recorded currents
+    scn = replace(KERNEL_SCENARIOS[name], dt=2e-3)
+    system, cfg = scn.system, scn.limiter
+    rec = run_scenario(scn)
+    frac = fault_spans(scn, len(rec))
+    adaptive = AdaptiveState()
+    for k, d in enumerate(rec.delta.tolist()):
+        gain = _limiter_gain(cfg, adaptive, system)
+        if math.isnan(frac[k]):
+            p_e, sol, vi = electrical_power(d, gain, system)
+        else:
+            p_e, sol, vi = electrical_power(d, gain, system, True, float(frac[k]))
+        z = complex(math.nan, math.nan) if sol.z_apparent is None else sol.z_apparent
+        want = (p_e, abs(sol.current), z.real, z.imag, vi.r_vi, vi.x_vi)
+        got = tuple(getattr(rec, field)[k].item() for field in SAMPLE_FIELDS)
+        for field, a, b in zip(SAMPLE_FIELDS, got, want):
+            if not math.isnan(frac[k]) or math.isnan(b):
+                assert a == b or math.isnan(a) and math.isnan(b), (field, k)
+            else:
+                assert abs(a - b) <= SAMPLE_TOL * max(1.0, abs(b)), (field, k, a, b)
+        if k and cfg.strategy is Strategy.ADAPTIVE_VI:
+            adaptive = adaptive_vi_step(adaptive, got[1], scn.dt, cfg, system.i_max)
 
 
 RAISING = {

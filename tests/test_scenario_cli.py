@@ -304,6 +304,16 @@ def test_cli_trajectory_adaptive_circle(tmp_path):
     assert active_rows > 100
 
 
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_cli_trajectory_writes_the_rows_of_full_cycle(tmp_path, strategy):
+    n = 301
+    argv = ["trajectory", "--case", "caseA2", "--strategy", strategy.value, "--samples", str(n)]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    samples = full_cycle(strategy, build_case("caseA2").system, n_samples=n)
+    rows = [f"{s.delta!r},{s.z_app.real!r},{s.z_app.imag!r},{s.segment.value}" for s in samples]
+    assert (tmp_path / "trajectory.csv").read_text().splitlines() == ["delta,re,im,segment", *rows]
+
+
 def test_cli_pdelta_outputs(tmp_path):
     out = tmp_path / "pd"
     rc = main(["pdelta", "--case", "caseA1", "--out", str(out), "--samples", "512"])
