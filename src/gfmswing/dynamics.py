@@ -33,7 +33,7 @@ from .limiter import (
     vi_gain_from_drop,
 )
 from .network import ZERO_CURRENT_TOL, NetworkSolution, SystemParams, active_power, solve_faulted
-from .relay import RelaySettings, RelayState, crossings, relay_step
+from .relay import CROSSING_BLOCK, RelaySettings, RelayState, crossings, relay_step
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,12 @@ def validate_events(events) -> tuple[Event, ...]:
     events = tuple(events)
     problems = []
     faulted = False
-    last_t = -math.inf
+    last_t = 0.0
     for ev in events:
         if not math.isfinite(ev.time) or (ev.value is not None and not math.isfinite(ev.value)):
             problems.append(f"event time and value must be finite (got {ev.time!r}, {ev.value!r})")
         elif ev.time < last_t:
-            problems.append(f"event times must be non-decreasing (got {ev.time!r} after {last_t!r})")
+            problems.append(f"event times must be >= 0 and non-decreasing (got {ev.time!r} after {last_t!r})")
         last_t = ev.time
         if ev.kind is EventKind.FAULT_APPLY:
             if faulted:
@@ -231,42 +231,45 @@ def run_scenario(scenario) -> SimulationRecord:
     lies outside every characteristic.
 
     The stages solve the loop from per-run floats with the loop algebra of
-    ``electrical_power``: four limited solves per healthy step (the first stage
-    reuses the last sample unless an event fired or the gain moved), and one
-    per faulted step, whose loop does not depend on the angle. Without an explicit
-    ``alpha_vi`` the VI lies along z_sigma, and the healthy root is the closed-form
-    ``_loop_magnitude``; the faulted loop and an explicit ratio take rtsafe. A
-    healthy stage needs only p_e = Re(V_pcc I*), which with V_pcc = V_far + z_sigma*I
-    is the two-source power-angle expression over the loop r_t + j*x_t (VI included)
-    plus R_sigma*|I|^2, in cos(delta) and sin(delta); the apparent impedance
-    z_relay + V_far*(r_t + j*x_t)/(E - V_far) is formed once per recorded sample.
+    ``electrical_power``; ``evaluate`` returns its last solve again at the same angle, so
+    the first stage reuses the end-of-step sample unless an event moved the angle or the PI
+    the gain, and a step at rest solves nothing. A faulted step solves once, its loop not
+    depending on the angle. Without an explicit ``alpha_vi`` the healthy root is the
+    closed-form ``_loop_magnitude``; the faulted loop and an explicit ratio take rtsafe. A
+    healthy stage needs only p_e = Re(V_pcc I*): the two-source power-angle expression over
+    the loop r_t + j*x_t (VI included) plus R_sigma*|I|^2. The healthy samples' apparent
+    impedance z_relay + V_far*(r_t + j*x_t)/(E - V_far) follows the loop.
     """
     system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
     events, dt = scenario.events, scenario.dt
     n = int(round(scenario.horizon / dt)) + 1
     due = [event_step(ev.time, dt) for ev in events]
     adaptive_pi = cfg.strategy is Strategy.ADAPTIVE_VI
-    clamp = apcl.freq_clamp
+    clamp, inv_dp, inv_2h, omega_n = apcl.freq_clamp, 1.0 / apcl.d_p, 1.0 / (2.0 * apcl.h), apcl.omega_n
     e, v_g_mag, i_th, alpha = system.e_ref.real, system.v_g_mag, system.i_th, system.vi_ratio
     z_sigma, z_relay = complex(system.z_sigma), complex(system.z_relay_to_grid)
     r_sigma, x_sigma = z_sigma.real, z_sigma.imag
     ve, vv = v_g_mag * e, v_g_mag * v_g_mag
     closed, z_mag, vi_norm = system.alpha_vi is None, abs(z_sigma), math.sqrt(1.0 + alpha * alpha)
 
-    delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr, vix_arr = (np.empty(n) for _ in range(8))
+    delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr = (np.empty(n) for _ in range(7))
     t_arr = np.concatenate(([0.0], np.cumsum(np.full(n - 1, dt))))  # a running sum of dt, added in order
+    fault_at = np.zeros(n, dtype=bool)
 
     delta = initial_state(system, apcl, cfg)
     omega, p0 = 0.0, apcl.p0
     faulted, frac, next_event = False, 0.5, 0
     adaptive = AdaptiveState()
     gain = _limiter_gain(cfg, adaptive, system)
-    k_vi = gain * vi_norm
+    k_vi, solved_at, solved = gain * vi_norm, math.nan, None
 
     def evaluate(d: float) -> tuple[float, float, float]:
-        """p_e, |I| and VI resistance at angle ``d`` under the step's gain."""
+        """p_e, |I| and VI resistance at angle ``d`` under the current gain."""
+        nonlocal solved_at, solved
         if faulted:
             return fault_sample
+        if d == solved_at:
+            return solved
         u = cmath.exp(-1j * d)  # not math.cos: a diverged angle gives NaN here, where math raises
         c, s = u.real, -u.imag
         e_mag = math.hypot(e - v_g_mag * c, v_g_mag * s)
@@ -274,11 +277,12 @@ def run_scenario(scenario) -> SimulationRecord:
              else _limited_magnitude(e_mag, z_sigma, gain, alpha, i_th))
         r_vi = gain * (m - i_th) if m > i_th else 0.0
         rt, xt = r_sigma + r_vi, x_sigma + alpha * r_vi
-        return (ve * (rt * c + xt * s) - vv * rt) / (rt * rt + xt * xt) + m * m * r_sigma, m, r_vi
+        p_e = (ve * (rt * c + xt * s) - vv * rt) / (rt * rt + xt * xt) + m * m * r_sigma
+        solved_at, solved = d, (p_e, m, r_vi)
+        return solved
 
     for k in range(n):
         if k:
-            seen = next_event
             while next_event < len(events) and due[next_event] == k:
                 ev = events[next_event]
                 next_event += 1
@@ -292,40 +296,46 @@ def run_scenario(scenario) -> SimulationRecord:
                     p0 += ev.value
             if faulted:
                 p_e, sol, vi = electrical_power(delta, gain, system, True, frac)
-                sample = fault_sample = p_e, abs(sol.current), vi.r_vi
-                fault_z = sol.z_apparent
-            elif next_event != seen or gain != sample_gain:
-                sample = evaluate(delta)
-            k1w, k1d = swing_derivatives(omega, p0, sample[0], apcl)
-            k2w, k2d = swing_derivatives(omega + 0.5 * dt * k1w, p0, evaluate(delta + 0.5 * dt * k1d)[0], apcl)
-            k3w, k3d = swing_derivatives(omega + 0.5 * dt * k2w, p0, evaluate(delta + 0.5 * dt * k2d)[0], apcl)
-            k4w, k4d = swing_derivatives(omega + dt * k3w, p0, evaluate(delta + dt * k3d)[0], apcl)
+                fault_sample, fault_z = (p_e, abs(sol.current), vi.r_vi), sol.z_apparent
+            # the swing equation of ``swing_derivatives``, with its factors taken once per run
+            k1w, k1d = (p0 - evaluate(delta)[0] - omega * inv_dp) * inv_2h, omega_n * omega
+            w = omega + 0.5 * dt * k1w
+            k2w, k2d = (p0 - evaluate(delta + 0.5 * dt * k1d)[0] - w * inv_dp) * inv_2h, omega_n * w
+            w = omega + 0.5 * dt * k2w
+            k3w, k3d = (p0 - evaluate(delta + 0.5 * dt * k2d)[0] - w * inv_dp) * inv_2h, omega_n * w
+            w = omega + dt * k3w
+            k4w, k4d = (p0 - evaluate(delta + dt * k3d)[0] - w * inv_dp) * inv_2h, omega_n * w
             delta += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             omega += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             omega = min(max(omega, -clamp), clamp)
             if not math.isfinite(delta + omega):
                 raise ValidationError(f"the swing diverged at t={t_arr[k].item()!r} s; dt={dt!r} is too coarse")
 
-        sample, sample_gain = evaluate(delta), gain
-        p_e, i_mag, r_vi = sample
+        p_e, i_mag, r_vi = evaluate(delta)
+        delta_arr[k], omega_arr[k], imag_arr[k], pe_arr[k], vir_arr[k] = delta, omega, i_mag, p_e, r_vi
         if faulted:
-            z = fault_z
-        elif i_mag < ZERO_CURRENT_TOL:
-            z = None
-        else:
-            v_far = v_g_mag * cmath.exp(-1j * delta)
-            z = z_relay + v_far * (z_sigma + complex(r_vi, alpha * r_vi)) / (e - v_far)
-        delta_arr[k] = delta
-        omega_arr[k] = omega
-        imag_arr[k] = i_mag
-        zre_arr[k], zim_arr[k] = (math.nan, math.nan) if z is None else (z.real, z.imag)
-        pe_arr[k] = p_e
-        vir_arr[k] = r_vi
-        vix_arr[k] = alpha * r_vi
+            fault_at[k] = True
+            zre_arr[k], zim_arr[k] = (math.nan, math.nan) if fault_z is None else (fault_z.real, fault_z.imag)
         if k and adaptive_pi:
             adaptive = adaptive_vi_step(adaptive, i_mag, dt, cfg, system.i_max)
-            gain = _limiter_gain(cfg, adaptive, system)
-            k_vi = gain * vi_norm
+            if (moved := _limiter_gain(cfg, adaptive, system)) != gain:
+                gain, k_vi, solved_at = moved, moved * vi_norm, math.nan
+
+    for block in (slice(lo, lo + CROSSING_BLOCK) for lo in range(0, n, CROSSING_BLOCK)):  # bounds temporaries
+        v_far, vir = v_g_mag * np.exp(-1j * delta_arr[block]), vir_arr[block]
+        v_re, v_im, rt, xt = v_far.real, v_far.imag, r_sigma + vir, x_sigma + alpha * vir
+        # V_far*(r_t + j*x_t)/(E - V_far) by CPython's complex product and quotient, op for op
+        ar, ai, br, bi = v_re * rt - v_im * xt, v_re * xt + v_im * rt, e - v_re, 0.0 - v_im
+        on_re = np.abs(br) >= np.abs(bi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken, or no current
+            ratio = np.where(on_re, bi / br, br / bi)
+            denom = np.where(on_re, br + bi * ratio, br * ratio + bi)
+            zr = z_relay.real + np.where(on_re, ar + ai * ratio, ar * ratio + ai) / denom
+            zi = z_relay.imag + np.where(on_re, ai - ar * ratio, ai * ratio - ar) / denom
+        kept, off = fault_at[block], imag_arr[block] < ZERO_CURRENT_TOL
+        zre_arr[block] = np.where(kept, zre_arr[block], np.where(off, math.nan, zr))
+        zim_arr[block] = np.where(kept, zim_arr[block], np.where(off, math.nan, zi))
+        del v_far, v_re, v_im, rt, xt, ar, ai, br, bi, ratio, denom, zr, zi  # before the next block allocates
 
     if scenario.relay is None:
         psb_arr, ost_arr, relay_events = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), []
@@ -341,7 +351,7 @@ def run_scenario(scenario) -> SimulationRecord:
         zapp_im=zim_arr,
         p_e=pe_arr,
         vi_r=vir_arr,
-        vi_x=vix_arr,
+        vi_x=alpha * vir_arr,
         psb=psb_arr,
         ost=ost_arr,
         relay_events=relay_events,

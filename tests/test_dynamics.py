@@ -1,6 +1,7 @@
 """Dynamics tests: swing derivatives, integrator quality, events, records,
 and the integration kernel against the reference integrator."""
 
+import cmath
 import math
 from dataclasses import replace
 from decimal import Decimal
@@ -38,6 +39,7 @@ from gfmswing import (
 from gfmswing import dynamics, limiter
 from gfmswing.cases import CASE_IDS, build_case
 from gfmswing.dynamics import _limiter_gain, event_step, validate_events
+from gfmswing.network import ZERO_CURRENT_TOL
 from gfmswing.scenario import MAX_STEPS, Scenario
 
 
@@ -111,6 +113,8 @@ def test_event_validation():
         )
     with pytest.raises(ValidationError):
         validate_events([Event(1.0, EventKind.PHASE_JUMP)])  # needs a value
+    with pytest.raises(ValidationError, match=">= 0"):
+        validate_events([Event(-3.0, EventKind.PHASE_JUMP, -1.59)])  # no step before the first applies it
     ok = validate_events(
         [Event(1.0, EventKind.FAULT_APPLY, 0.5), Event(1.25, EventKind.FAULT_CLEAR)]
     )
@@ -620,6 +624,23 @@ def test_kernel_samples_match_electrical_power(name):
             adaptive = adaptive_vi_step(adaptive, got[1], scn.dt, cfg, system.i_max)
 
 
+@pytest.mark.parametrize("name", KERNEL_SCENARIOS)
+def test_impedance_arrays_repeat_the_complex_formula(name):
+    # the healthy samples' impedance, formed over arrays after the loop, is bit for bit
+    # what Python's complex arithmetic gives on the recorded angle and VI resistance
+    scn = replace(KERNEL_SCENARIOS[name], dt=2e-3)
+    system, rec = scn.system, run_scenario(scn)
+    e, alpha = system.e_ref.real, system.vi_ratio
+    z_sigma, z_relay = complex(system.z_sigma), complex(system.z_relay_to_grid)
+    healthy = np.isnan(fault_spans(scn, len(rec)))
+    for k in np.flatnonzero(healthy & (rec.i_mag >= ZERO_CURRENT_TOL)).tolist():
+        v_far = system.v_g_mag * cmath.exp(-1j * rec.delta[k].item())
+        r_vi = rec.vi_r[k].item()
+        z = z_relay + v_far * (z_sigma + complex(r_vi, alpha * r_vi)) / (e - v_far)
+        assert (rec.zapp_re[k], rec.zapp_im[k]) == (z.real, z.imag), k
+    assert np.array_equal(rec.vi_x, system.vi_ratio * rec.vi_r)
+
+
 RAISING = {
     # one Newton step cannot converge once the jump activates the VI; the
     # explicit ratio keeps the healthy loop on rtsafe, which can stall
@@ -656,10 +677,8 @@ def test_kernel_raises_like_reference(name, monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-def test_kernel_limited_solve_count(monkeypatch):
-    # closed-form roots: 4 per healthy step without an event (k1 reuses the last
-    # sample), 5 on the fault-clearing step and 1 for the first sample; rtsafe:
-    # 1 per faulted step, whose loop is not along the VI, and the initial state
+def counted_solves(monkeypatch) -> dict[str, int]:
+    """Live counts of the kernel's closed-form roots and of every rtsafe solve."""
     calls = {"closed": 0, "rtsafe": 0}
 
     def counted(name, solve):
@@ -673,13 +692,64 @@ def test_kernel_limited_solve_count(monkeypatch):
     monkeypatch.setattr(limiter, "_limited_magnitude", rtsafe)
     monkeypatch.setattr(dynamics, "_limited_magnitude", rtsafe)
     monkeypatch.setattr(dynamics, "_loop_magnitude", counted("closed", limiter._loop_magnitude))
-    scn = replace(build_case("caseB2"), dt=2e-3, relay=None)
-    initial_state(scn.system, scn.apcl, scn.limiter)
-    assert calls["closed"] == 0
-    setup, calls["rtsafe"] = calls["rtsafe"], 0
-    rec = run_scenario(scn)
-    applied, cleared = (ev.time for ev in scn.events)
-    faulted = round((cleared - applied) / scn.dt)
-    healthy = len(rec) - 1 - faulted - 1  # steps without an event
-    assert calls["closed"] == 1 + 4 * healthy + 5
-    assert calls["rtsafe"] == setup + faulted
+    return calls
+
+
+SOLVE_COUNTED = {
+    "caseB2": replace(build_case("caseB2"), dt=2e-3, relay=None),
+    "mixed": replace(MIXED, dt=2e-3, relay=None),
+    "mixed-adaptive": replace(MIXED, dt=2e-3, relay=None, limiter=LimiterConfig(strategy=Strategy.ADAPTIVE_VI)),
+}
+
+
+def test_kernel_limited_solve_count(monkeypatch):
+    # closed-form roots: 1 for sample 0, none on the steps at rest before the first event
+    # (every stage lands on the angle already solved), then 4 per healthy step: 3 stages
+    # and the end-of-step sample, whose solve the next step's first stage reuses, also
+    # across a power step, as p_e does not depend on p0. The first stage re-solves after a
+    # clear (the last solve predates the fault) and after the PI moved the gain; after a
+    # jump from rest it re-solves, but the second stage reuses it, since the resting omega
+    # cannot move the angle. rtsafe: 1 per faulted step, whose loop is not along the VI,
+    # and the initial state.
+    calls, counts = counted_solves(monkeypatch), {}
+    for name, scn in SOLVE_COUNTED.items():
+        calls.update(closed=0, rtsafe=0)
+        initial_state(scn.system, scn.apcl, scn.limiter)
+        assert calls["closed"] == 0, name
+        setup, calls["rtsafe"] = calls["rtsafe"], 0
+        rec = run_scenario(scn)
+        kinds = [{ev.kind for ev in scn.events if event_step(ev.time, scn.dt) == k} for k in range(len(rec))]
+        gains, adaptive = [], AdaptiveState()  # the gain of each step, replayed from the recorded currents
+        for k in range(len(rec)):
+            gains.append(_limiter_gain(scn.limiter, adaptive, scn.system))
+            if k and scn.limiter.strategy is Strategy.ADAPTIVE_VI:
+                adaptive = adaptive_vi_step(adaptive, rec.i_mag[k].item(), scn.dt, scn.limiter, scn.system.i_max)
+        closed, faulted, started, moved = 1, 0, False, False
+        for k in range(1, len(rec)):
+            started, moved = started or bool(kinds[k]), moved or gains[k] != gains[k - 1]
+            faulted += EventKind.FAULT_APPLY in kinds[k]
+            faulted -= EventKind.FAULT_CLEAR in kinds[k]
+            if started and not faulted:
+                resolved = EventKind.FAULT_CLEAR in kinds[k] or moved and EventKind.PHASE_JUMP not in kinds[k]
+                closed += 4 + resolved
+                moved = False
+        assert calls["closed"] == closed, name
+        assert calls["rtsafe"] == setup + sum(np.isfinite(fault_spans(scn, len(rec)))), name
+        counts[name] = calls["closed"], len(set(gains))
+    assert counts["caseB2"][0] == 41_502  # 8 000 fewer than 4 per step: its 2 000 steps at rest solve nothing
+    assert counts["mixed-adaptive"][1] > 100  # distinct gains: the PI moved the gain on many steps
+
+
+def test_pre_event_steps_reuse_the_stage_solve(monkeypatch):
+    # caseA1 rests at its equilibrium until the jump: every stage of every step before it
+    # lands on the angle solved for sample 0, so those steps make no closed-form solve
+    scn = replace(build_case("caseA1"), dt=2e-3, relay=None)
+    jump = event_step(scn.events[0].time, scn.dt)
+    whole = run_scenario(scn)
+    calls = counted_solves(monkeypatch)
+    rest = run_scenario(replace(scn, events=(), horizon=(jump - 1) * scn.dt))  # samples 0 to jump - 1
+    assert calls["closed"] == 1
+    assert len(rest) == jump
+    for field in RECORD_FIELDS:
+        assert np.array_equal(getattr(rest, field), getattr(whole, field)[:jump], equal_nan=True), field
+    assert (rest.delta == rest.delta[0]).all() and whole.delta[jump] != whole.delta[0]

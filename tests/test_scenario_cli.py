@@ -406,6 +406,7 @@ BAD_SCENARIOS = {
     "blinders-not-nested": '{"horizon": 1.0, "relay": {"inner": '
     '{"rgt": 0.7, "lft": -0.25, "fwd": 1.31, "rev": -0.39, "tilt_deg": 84.94}}}',
     "huge-event-time": '{"horizon": 1.0, "events": [{"time": 1e308, "kind": "phase_jump", "value": 0.1}]}',
+    "negative-event-time": '{"horizon": 1.0, "events": [{"time": -3.0, "kind": "phase_jump", "value": 0.1}]}',
     "negative-psb_cycles": '{"horizon": 1.0, "relay": {"psb_cycles": -1}}',
     "off-axis-e_ref": '{"horizon": 1.0, "system": {"e_ref": {"mag": 1.0, "angle_deg": 10}}}',
     "non-utf8-byte": b'{"horizon": 1.0, "name": "\xff"}',
