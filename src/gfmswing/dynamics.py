@@ -10,7 +10,6 @@ setpoint steps; the frequency deviation is hard-clamped after every step.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -222,23 +221,24 @@ def run_scenario(scenario) -> SimulationRecord:
 
     Time is the step index: each event acts in the step ending at sample
     ``event_step(time, dt)``, and sample k is recorded at the k-th partial sum
-    of ``dt``. Each step applies its events, resolves the VI gain once from the
-    adaptive PI state, takes one RK4 step of the swing, clamps the frequency
-    deviation and records the end-of-step sample, on whose current the PI
-    then advances. The relay never acts back on the swing, so it observes the
-    recorded impedance afterwards, stepping only at the samples where its state
-    can change (``_observe``); an undefined impedance is recorded as NaN and
-    lies outside every characteristic.
+    of ``dt``. The event steps cut the horizon into segments. A segment applies
+    the events of its first step once; then each of its steps takes one RK4 step
+    of the swing, clamps the frequency deviation and records the end-of-step
+    sample, on whose current the adaptive PI then advances. The relay never acts
+    back on the swing, so it observes the recorded impedance afterwards, stepping
+    only at the samples where its state can change (``_observe``); an undefined
+    impedance is recorded as NaN and lies outside every characteristic.
 
     The stages solve the loop from per-run floats with the loop algebra of
     ``electrical_power``; ``evaluate`` returns its last solve again at the same angle, so
     the first stage reuses the end-of-step sample unless an event moved the angle or the PI
-    the gain, and a step at rest solves nothing. A faulted step solves once, its loop not
-    depending on the angle. Without an explicit ``alpha_vi`` the healthy root is the
-    closed-form ``_loop_magnitude``; the faulted loop and an explicit ratio take rtsafe. A
-    healthy stage needs only p_e = Re(V_pcc I*): the two-source power-angle expression over
-    the loop r_t + j*x_t (VI included) plus R_sigma*|I|^2. The healthy samples' apparent
-    impedance z_relay + V_far*(r_t + j*x_t)/(E - V_far) follows the loop.
+    the gain, and a step at rest solves nothing. The faulted loop does not depend on the
+    angle, so a faulted segment solves it once, and again only when the PI moves the gain.
+    Without an explicit ``alpha_vi`` the healthy root is the closed-form ``_loop_magnitude``;
+    the faulted loop and an explicit ratio take rtsafe. A healthy stage needs only
+    p_e = Re(V_pcc I*): the two-source power-angle expression over the loop r_t + j*x_t
+    (VI included) plus R_sigma*|I|^2. The healthy samples' apparent impedance
+    z_relay + V_far*(r_t + j*x_t)/(E - V_far) follows the loop.
     """
     system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
     events, dt = scenario.events, scenario.dt
@@ -253,6 +253,8 @@ def run_scenario(scenario) -> SimulationRecord:
     closed, z_mag, vi_norm = system.alpha_vi is None, abs(z_sigma), math.sqrt(1.0 + alpha * alpha)
 
     delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr = (np.empty(n) for _ in range(7))
+    # the loop records through memoryviews, whose float stores skip numpy's item assignment
+    d_out, w_out, i_out, p_out, r_out = map(memoryview, (delta_arr, omega_arr, imag_arr, pe_arr, vir_arr))
     t_arr = np.concatenate(([0.0], np.cumsum(np.full(n - 1, dt))))  # a running sum of dt, added in order
     fault_at = np.zeros(n, dtype=bool)
 
@@ -264,14 +266,14 @@ def run_scenario(scenario) -> SimulationRecord:
     k_vi, solved_at, solved = gain * vi_norm, math.nan, None
 
     def evaluate(d: float) -> tuple[float, float, float]:
-        """p_e, |I| and VI resistance at angle ``d`` under the current gain."""
+        """p_e, |I| and VI resistance of the healthy loop at angle ``d`` under the current gain."""
         nonlocal solved_at, solved
-        if faulted:
-            return fault_sample
         if d == solved_at:
             return solved
-        u = cmath.exp(-1j * d)  # not math.cos: a diverged angle gives NaN here, where math raises
-        c, s = u.real, -u.imag
+        try:
+            c, s = math.cos(d), math.sin(d)
+        except ValueError:  # the infinite angle of a diverging step, where cmath.exp gives NaN
+            c = s = math.nan
         e_mag = math.hypot(e - v_g_mag * c, v_g_mag * s)
         m = (_loop_magnitude(e_mag, z_mag, k_vi, i_th) if closed
              else _limited_magnitude(e_mag, z_sigma, gain, alpha, i_th))
@@ -281,45 +283,52 @@ def run_scenario(scenario) -> SimulationRecord:
         solved_at, solved = d, (p_e, m, r_vi)
         return solved
 
-    for k in range(n):
-        if k:
-            while next_event < len(events) and due[next_event] == k:
-                ev = events[next_event]
-                next_event += 1
-                if ev.kind is EventKind.PHASE_JUMP:
-                    delta += ev.value
-                elif ev.kind is EventKind.FAULT_APPLY:
-                    faulted, frac = True, 0.5 if ev.value is None else ev.value
-                elif ev.kind is EventKind.FAULT_CLEAR:
-                    faulted = False
-                else:
-                    p0 += ev.value
-            if faulted:
-                p_e, sol, vi = electrical_power(delta, gain, system, True, frac)
-                fault_sample, fault_z = (p_e, abs(sol.current), vi.r_vi), sol.z_apparent
+    def fault_span(d: float, lo: int, hi: int):
+        """Solve the faulted loop for samples lo to hi - 1: store their impedance, return their stage."""
+        p_e, sol, vi = electrical_power(d, gain, system, True, frac)
+        z = complex(math.nan, math.nan) if sol.z_apparent is None else sol.z_apparent
+        fault_at[lo:hi], zre_arr[lo:hi], zim_arr[lo:hi] = True, z.real, z.imag
+        sample = p_e, abs(sol.current), vi.r_vi
+        return lambda _: sample
+
+    p_e, i_mag, r_vi = evaluate(delta)
+    d_out[0], w_out[0], i_out[0], p_out[0], r_out[0] = delta, omega, i_mag, p_e, r_vi
+    cuts = sorted({k for k in (1, *due) if k < n}) + [n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        while next_event < len(events) and due[next_event] == lo:
+            ev = events[next_event]
+            next_event += 1
+            if ev.kind is EventKind.PHASE_JUMP:
+                delta += ev.value
+            elif ev.kind is EventKind.FAULT_APPLY:
+                faulted, frac = True, 0.5 if ev.value is None else ev.value
+            elif ev.kind is EventKind.FAULT_CLEAR:
+                faulted = False
+            else:
+                p0 += ev.value
+        stage = fault_span(delta, lo, hi) if faulted else evaluate
+        for k in range(lo, hi):
             # the swing equation of ``swing_derivatives``, with its factors taken once per run
-            k1w, k1d = (p0 - evaluate(delta)[0] - omega * inv_dp) * inv_2h, omega_n * omega
+            k1w, k1d = (p0 - stage(delta)[0] - omega * inv_dp) * inv_2h, omega_n * omega
             w = omega + 0.5 * dt * k1w
-            k2w, k2d = (p0 - evaluate(delta + 0.5 * dt * k1d)[0] - w * inv_dp) * inv_2h, omega_n * w
+            k2w, k2d = (p0 - stage(delta + 0.5 * dt * k1d)[0] - w * inv_dp) * inv_2h, omega_n * w
             w = omega + 0.5 * dt * k2w
-            k3w, k3d = (p0 - evaluate(delta + 0.5 * dt * k2d)[0] - w * inv_dp) * inv_2h, omega_n * w
+            k3w, k3d = (p0 - stage(delta + 0.5 * dt * k2d)[0] - w * inv_dp) * inv_2h, omega_n * w
             w = omega + dt * k3w
-            k4w, k4d = (p0 - evaluate(delta + dt * k3d)[0] - w * inv_dp) * inv_2h, omega_n * w
+            k4w, k4d = (p0 - stage(delta + dt * k3d)[0] - w * inv_dp) * inv_2h, omega_n * w
             delta += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             omega += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            omega = min(max(omega, -clamp), clamp)
+            omega = clamp if omega > clamp else -clamp if omega < -clamp else omega  # NaN reaches the check
             if not math.isfinite(delta + omega):
                 raise ValidationError(f"the swing diverged at t={t_arr[k].item()!r} s; dt={dt!r} is too coarse")
-
-        p_e, i_mag, r_vi = evaluate(delta)
-        delta_arr[k], omega_arr[k], imag_arr[k], pe_arr[k], vir_arr[k] = delta, omega, i_mag, p_e, r_vi
-        if faulted:
-            fault_at[k] = True
-            zre_arr[k], zim_arr[k] = (math.nan, math.nan) if fault_z is None else (fault_z.real, fault_z.imag)
-        if k and adaptive_pi:
-            adaptive = adaptive_vi_step(adaptive, i_mag, dt, cfg, system.i_max)
-            if (moved := _limiter_gain(cfg, adaptive, system)) != gain:
-                gain, k_vi, solved_at = moved, moved * vi_norm, math.nan
+            p_e, i_mag, r_vi = stage(delta)
+            d_out[k], w_out[k], i_out[k], p_out[k], r_out[k] = delta, omega, i_mag, p_e, r_vi
+            if adaptive_pi:  # the gain is a function of the PI's drop alone
+                drop, adaptive = adaptive.delta_v, adaptive_vi_step(adaptive, i_mag, dt, cfg, system.i_max)
+                if adaptive.delta_v != drop and (moved := _limiter_gain(cfg, adaptive, system)) != gain:
+                    gain, k_vi, solved_at = moved, moved * vi_norm, math.nan
+                    if faulted and k + 1 < hi:
+                        stage = fault_span(delta, k + 1, hi)
 
     for block in (slice(lo, lo + CROSSING_BLOCK) for lo in range(0, n, CROSSING_BLOCK)):  # bounds temporaries
         v_far, vir = v_g_mag * np.exp(-1j * delta_arr[block]), vir_arr[block]

@@ -518,11 +518,28 @@ MIXED = make_scenario(
 )
 # an explicit VI ratio off the loop angle: the kernel's healthy root falls back to rtsafe
 EXPLICIT_ALPHA = replace(MIXED, system=SystemParams(alpha_vi=3.0))
+# the edges of the kernel's event segments at dt 2e-3: an event on step 1, two kinds on
+# one step, a fault applied and cleared on consecutive steps, and an adaptive-VI fault
+# still active at the horizon, inside which the PI moves the gain
+EDGE_EVENTS = replace(
+    MIXED,
+    limiter=LimiterConfig(strategy=Strategy.ADAPTIVE_VI),
+    events=(
+        Event(0.0, EventKind.PHASE_JUMP, 0.3),
+        Event(0.5, EventKind.PHASE_JUMP, -0.2),
+        Event(0.5, EventKind.POWER_STEP, 0.05),
+        Event(1.0, EventKind.FAULT_APPLY, 0.3),
+        Event(1.002, EventKind.FAULT_CLEAR),
+        Event(2.0, EventKind.FAULT_APPLY, 0.7),
+    ),
+    horizon=2.5,
+)
 KERNEL_SCENARIOS = {
     **{case: build_case(case) for case in CASE_IDS},
     "criterion11": CRITERION_11,
     "mixed": MIXED,
     "explicit-alpha": EXPLICIT_ALPHA,
+    "edge-events": EDGE_EVENTS,
 }
 # the built-in cases, criterion 11 and MIXED with their relays, and caseD with wider settings
 OBSERVED = {
@@ -709,8 +726,10 @@ def test_kernel_limited_solve_count(monkeypatch):
     # across a power step, as p_e does not depend on p0. The first stage re-solves after a
     # clear (the last solve predates the fault) and after the PI moved the gain; after a
     # jump from rest it re-solves, but the second stage reuses it, since the resting omega
-    # cannot move the angle. rtsafe: 1 per faulted step, whose loop is not along the VI,
-    # and the initial state.
+    # cannot move the angle. rtsafe: the initial state, and the faulted loop, which is not
+    # along the VI and does not depend on the angle: 1 per segment that starts faulted (the
+    # event steps cut the horizon into segments) and 1 more whenever the PI moves the gain
+    # inside it.
     calls, counts = counted_solves(monkeypatch), {}
     for name, scn in SOLVE_COUNTED.items():
         calls.update(closed=0, rtsafe=0)
@@ -725,19 +744,24 @@ def test_kernel_limited_solve_count(monkeypatch):
             if k and scn.limiter.strategy is Strategy.ADAPTIVE_VI:
                 adaptive = adaptive_vi_step(adaptive, rec.i_mag[k].item(), scn.dt, scn.limiter, scn.system.i_max)
         closed, faulted, started, moved = 1, 0, False, False
+        fault_solves = 0
         for k in range(1, len(rec)):
             started, moved = started or bool(kinds[k]), moved or gains[k] != gains[k - 1]
             faulted += EventKind.FAULT_APPLY in kinds[k]
             faulted -= EventKind.FAULT_CLEAR in kinds[k]
+            fault_solves += faulted and (bool(kinds[k]) or gains[k] != gains[k - 1])
             if started and not faulted:
                 resolved = EventKind.FAULT_CLEAR in kinds[k] or moved and EventKind.PHASE_JUMP not in kinds[k]
                 closed += 4 + resolved
                 moved = False
         assert calls["closed"] == closed, name
-        assert calls["rtsafe"] == setup + sum(np.isfinite(fault_spans(scn, len(rec)))), name
-        counts[name] = calls["closed"], len(set(gains))
+        assert calls["rtsafe"] == setup + fault_solves, name
+        counts[name] = calls["closed"], len(set(gains)), fault_solves
     assert counts["caseB2"][0] == 41_502  # 8 000 fewer than 4 per step: its 2 000 steps at rest solve nothing
     assert counts["mixed-adaptive"][1] > 100  # distinct gains: the PI moved the gain on many steps
+    # one solve per fault under a fixed gain, against 125, 75 and 75 faulted steps; under the
+    # adaptive PI the gain moves before 72 of the fault's 74 later steps
+    assert [c[2] for c in counts.values()] == [1, 1, 73]
 
 
 def test_pre_event_steps_reuse_the_stage_solve(monkeypatch):
