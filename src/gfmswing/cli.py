@@ -200,7 +200,10 @@ def _first_swing_period(record) -> float | None:
 def _parse_grid(text: str | None, flag: str) -> list[float] | None:
     if not text:
         return None
-    return [_float(x, flag) for x in text.split(",") if x.strip()]
+    try:
+        return [_float(float(x), flag) for x in text.split(",") if x.strip()]
+    except ValueError:  # text that is not a float
+        raise ValidationError(f"{flag}: expected comma-separated numbers, got {_shown(text)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

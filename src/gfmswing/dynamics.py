@@ -286,8 +286,7 @@ def run_scenario(scenario) -> SimulationRecord:
     def fault_span(d: float, lo: int, hi: int):
         """Solve the faulted loop for samples lo to hi - 1: store their impedance, return their stage."""
         p_e, sol, vi = electrical_power(d, gain, system, True, frac)
-        z = complex(math.nan, math.nan) if sol.z_apparent is None else sol.z_apparent
-        fault_at[lo:hi], zre_arr[lo:hi], zim_arr[lo:hi] = True, z.real, z.imag
+        fault_at[lo:hi], zre_arr[lo:hi], zim_arr[lo:hi] = True, sol.z_apparent.real, sol.z_apparent.imag
         sample = p_e, abs(sol.current), vi.r_vi
         return lambda _: sample
 
@@ -373,15 +372,11 @@ def _observe(zre, zim, t, dt: float, settings: RelaySettings) -> tuple[np.ndarra
     """PSB and OST flags per sample and the event log of a relay watching the stream.
 
     Between two ``crossings`` the relay's state changes only by a zone trip,
-    which falls ``max(0, ceil(time_delay/dt - 1e-6))`` samples after the
-    zone's entry: the lag at which ``relay_step`` trips. So ``relay_step``
-    takes only the crossings and those pending trips, and each flag holds its
-    value until the next of them. A lag whose ratio is infinite or beyond the
-    record is never reached.
+    on the sample ``relay_step`` fixed as the zone's ``zone_due`` when it
+    entered. So ``relay_step`` takes only the crossings and the dues inside the
+    record, and each flag holds its value until the next of them.
     """
     n = len(zre)
-    ratios = (zone.time_delay / dt - 1e-6 for zone in settings.zones)
-    lags = [max(0, math.ceil(r)) if r < n else None for r in ratios]
     psb, ost = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     todo = crossings(zre, zim, settings).tolist()  # ascending, so already a heap
     state, walked = RelayState(), 0
@@ -392,8 +387,8 @@ def _observe(zre, zim, t, dt: float, settings: RelaySettings) -> tuple[np.ndarra
         psb[walked:k], ost[walked:k] = state.psb_asserted, state.ost_tripped
         state.samples = walked = k
         relay_step(state, complex(zre[k], zim[k]), float(t[k]), dt, settings)
-        for entry, lag in zip(state.zone_entry, lags):
-            if entry == k and lag and k + lag < n:  # a zero lag tripped in this call
-                heapq.heappush(todo, k + lag)
+        for due in state.zone_due:
+            if due is not None and k < due < n:  # a due of k tripped in this call
+                heapq.heappush(todo, due)
     psb[walked:], ost[walked:] = state.psb_asserted, state.ost_tripped
     return psb, ost, state.event_log

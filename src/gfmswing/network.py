@@ -123,13 +123,13 @@ class NetworkSolution:
     """Complex solution of one series-loop solve.
 
     ``z_apparent`` is the relay measurement (relay-bus voltage over loop
-    current) and is ``None`` when the current is numerically zero.
+    current) and is NaN when the current is numerically zero.
     """
 
     current: complex
     v_pcc: complex
     v_relay: complex
-    z_apparent: complex | None
+    z_apparent: complex
 
 
 def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkSolution:
@@ -154,7 +154,7 @@ def _series_loop(v_far: complex, z_vi: complex, e_ref: complex, z_loop: complex,
     current = (e_ref - v_far) / z_total
     v_pcc = v_far + z_loop * current
     v_relay = v_far + z_relay * current
-    z_apparent = None if abs(current) < ZERO_CURRENT_TOL else v_relay / current
+    z_apparent = complex(math.nan, math.nan) if abs(current) < ZERO_CURRENT_TOL else v_relay / current
     return current, v_pcc, v_relay, z_apparent
 
 

@@ -65,9 +65,9 @@ def mho_contains(z: complex, zone: MhoZone) -> bool:
 
 
 def blinder_contains(z: complex, b: Blinder) -> bool:
-    """Boundary-inclusive membership in the blinder quadrilateral."""
+    """Boundary-inclusive membership in the blinder quadrilateral; elementwise for a complex array."""
     u = z.real - z.imag / math.tan(math.radians(b.tilt_deg))
-    return b.lft <= u <= b.rgt and b.rev <= z.imag <= b.fwd
+    return (b.lft <= u) & (u <= b.rgt) & (b.rev <= z.imag) & (z.imag <= b.fwd)
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,16 @@ class RelaySettings:
 
 @dataclass
 class RelayState:
-    """Occupancy, entry samples and latched decisions of one relay instance.
+    """Occupancy, entry and trip samples and latched decisions of one relay instance.
 
     ``relay_step`` advances it in place by one sample: ``samples`` is the
     sample the next call takes, and each call advances it by one. A walk that
     skips samples sets it before each call; ``dynamics.run_scenario`` calls
-    only at ``crossings`` and at pending zone trips, between which a per-sample
+    only at ``crossings`` and at zone trips due, between which a per-sample
     walk changes nothing. ``outer_entry`` is the sample that entered the outer
-    blinder and ``zone_entry[k]`` the one that entered zone k + 1, each ``None``
-    while outside. ``zone_entry`` starts empty and takes one entry per zone of
+    blinder and ``zone_due[k]`` the sample on which zone k + 1 trips, fixed at
+    its entry (``math.inf`` for a delay no sample count reaches), each ``None``
+    while outside. ``zone_due`` starts empty and takes one entry per zone of
     the settings at the first ``relay_step``; ``event_log`` holds one
     ``(t, event, element)`` tuple per event.
     """
@@ -138,7 +139,7 @@ class RelayState:
     in_outer: bool = False
     in_middle: bool = False
     in_inner: bool = False
-    zone_entry: list[int | None] = field(default_factory=list)
+    zone_due: list[int | float | None] = field(default_factory=list)
     outer_entry: int | None = None
     psb_asserted: bool = False
     ost_tripped: bool = False
@@ -149,25 +150,22 @@ class RelayState:
 
 def relay_step(
     state: RelayState,
-    z: complex | None,
+    z: complex,
     t: float,
     dt: float,
     settings: RelaySettings,
 ) -> RelayState:
     """Advance ``state`` in place by one sample of measured apparent impedance; returns it.
 
-    ``z`` may be ``None`` (or NaN) when the impedance is undefined; the
-    point is then treated as lying outside every characteristic.
+    A NaN ``z`` is an undefined impedance, which lies outside every characteristic.
 
     Durations are counted in whole samples, with the allowance of 1e-6 of a
     step that ``dynamics.event_step`` gives: PSB asserts at middle entry when
     the transit since outer entry exceeds ``delta_t_psb/dt + 1e-6`` samples,
-    and a zone trips on the first in-zone sample whose lag since entry reaches
-    ``time_delay/dt - 1e-6``, so a zero delay trips on the entry sample. ``t``
-    only stamps the log.
+    and a zone entered on sample n trips on sample ``n + max(0, ceil(time_delay/dt - 1e-6))``
+    if it is still inside, so a zero delay trips on the entry sample. ``t`` only
+    stamps the log.
     """
-    if z is None:
-        z = complex(float("nan"), float("nan"))
     n = state.samples
     state.samples = n + 1
     in_outer = blinder_contains(z, settings.outer)
@@ -195,18 +193,17 @@ def relay_step(
             log.append((t, "ost_trip", "inner"))
     state.in_outer, state.in_middle, state.in_inner = in_outer, in_middle, in_inner
 
-    if not state.zone_entry:
-        state.zone_entry = [None] * len(settings.zones)
-    entry = state.zone_entry
+    if not state.zone_due:
+        state.zone_due = [None] * len(settings.zones)
+    due = state.zone_due
     for k, zone in enumerate(settings.zones):
         inside = not state.psb_asserted and mho_contains(z, zone)
-        if inside != (entry[k] is not None):
+        if inside != (due[k] is not None):
             log.append((t, "enter" if inside else "exit", f"zone{k + 1}"))
-            entry[k] = n if inside else None
-        if inside:
-            lag, delay = n - entry[k], zone.time_delay / dt - 1e-6
-            if lag >= delay > lag - 1:  # one sample per dwell reaches the delay
-                log.append((t, "trip", f"zone{k + 1}"))
+            lag = zone.time_delay / dt - 1e-6  # samples from entry to trip, before rounding up
+            due[k] = None if not inside else n + max(0, math.ceil(lag)) if lag < math.inf else math.inf
+        if due[k] == n:
+            log.append((t, "trip", f"zone{k + 1}"))
     return state
 
 
@@ -214,22 +211,19 @@ def crossings(zre: np.ndarray, zim: np.ndarray, settings: RelaySettings) -> np.n
     """Sample 0 and, in order, every sample whose set of containing characteristics
     differs from the previous sample's.
 
-    Membership takes the float arithmetic of ``blinder_contains`` and
-    ``mho_contains`` element by element, so a NaN sample lies outside every
-    characteristic. The record is tested ``CROSSING_BLOCK`` samples at a time,
-    each block overlapping the previous one by a sample.
+    Each block calls ``blinder_contains`` on its samples and repeats the float
+    arithmetic of ``mho_contains`` element by element, so a NaN sample lies
+    outside every characteristic. The record is tested ``CROSSING_BLOCK``
+    samples at a time, each block overlapping the previous one by a sample.
     """
     found = [np.zeros(1, dtype=np.intp)]
     for start in range(1, len(zre), CROSSING_BLOCK):
         re, im = zre[start - 1 : start + CROSSING_BLOCK], zim[start - 1 : start + CROSSING_BLOCK]
-        changed = np.zeros(len(re) - 1, dtype=bool)
-        for b in (settings.outer, settings.middle, settings.inner):
-            u = re - im / math.tan(math.radians(b.tilt_deg))
-            inside = (b.lft <= u) & (u <= b.rgt) & (b.rev <= im) & (im <= b.fwd)
-            changed |= inside[1:] != inside[:-1]
-        for zone in settings.zones:
+        z = re + 1j * im
+        inside = [blinder_contains(z, b) for b in (settings.outer, settings.middle, settings.inner)]
+        for zone in settings.zones:  # np.hypot rounds as abs() of a Python complex; numpy's complex abs does not
             center = 0.5 * zone.reach
-            inside = np.hypot(re - center.real, im - center.imag) <= abs(center)
-            changed |= inside[1:] != inside[:-1]
+            inside.append(np.hypot(re - center.real, im - center.imag) <= abs(center))
+        changed = np.diff(inside, axis=1).any(axis=0)  # a bool diff is !=
         found.append(np.flatnonzero(changed) + start)
     return np.concatenate(found)

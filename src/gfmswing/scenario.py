@@ -78,11 +78,11 @@ def _shown(value) -> str:
 
 
 def _float(value, field: str) -> float:
-    """A finite float read from a scenario file, or ``ValidationError`` naming the field."""
+    """A finite float from a JSON number (not a bool or text), or ``ValidationError`` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{field}: expected a number, got {_shown(value)}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{field}: expected a number, got {_shown(value)}") from None
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):

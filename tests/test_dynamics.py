@@ -91,7 +91,7 @@ def test_electrical_power_zero_angle():
     params = SystemParams()
     p, sol, _ = electrical_power(0.0, 0.0, params)
     assert p == pytest.approx(0.0, abs=1e-20)
-    assert sol.z_apparent is None
+    assert math.isnan(sol.z_apparent.real) and math.isnan(sol.z_apparent.imag)
 
 
 def test_electrical_power_variable_matches_solver():
@@ -460,8 +460,7 @@ def reference_run(scenario) -> SimulationRecord:
         delta_arr[k] = delta
         omega_arr[k] = omega
         imag_arr[k] = abs(sol.current)
-        z = sol.z_apparent
-        zre_arr[k], zim_arr[k] = (math.nan, math.nan) if z is None else (z.real, z.imag)
+        zre_arr[k], zim_arr[k] = sol.z_apparent.real, sol.z_apparent.imag
         pe_arr[k] = p_e
         vir_arr[k] = vi.r_vi
         vix_arr[k] = vi.x_vi
@@ -541,10 +540,12 @@ KERNEL_SCENARIOS = {
     "explicit-alpha": EXPLICIT_ALPHA,
     "edge-events": EDGE_EVENTS,
 }
-# the built-in cases, criterion 11 and MIXED with their relays, and caseD with wider settings
+# the built-in cases, criterion 11 and MIXED with their relays, caseD with wider settings
+# and caseB2 with a relay that has no zones
 OBSERVED = {
     **{name: KERNEL_SCENARIOS[name] for name in (*CASE_IDS, "criterion11", "mixed")},
     "caseD-scaled1.5": replace(build_case("caseD"), relay=RelaySettings().scaled(1.5)),
+    "caseB2-no-zones": replace(build_case("caseB2"), relay=replace(RelaySettings(), zones=())),
 }
 
 
@@ -569,6 +570,9 @@ def test_relay_is_an_observer(name):
     assert watched.relay_events == relay.event_log
     if name == "caseB2":
         assert {"psb_assert", "ost_trip", "trip"} <= {kind for _, kind, _ in watched.relay_events}
+    if name == "caseB2-no-zones":
+        assert {"psb_assert", "ost_trip"} <= {kind for _, kind, _ in watched.relay_events}
+        assert not [element for _, _, element in watched.relay_events if element.startswith("zone")]
 
 
 RECORD_FIELDS = ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x", "psb", "ost")
@@ -629,7 +633,7 @@ def test_kernel_samples_match_electrical_power(name):
             p_e, sol, vi = electrical_power(d, gain, system)
         else:
             p_e, sol, vi = electrical_power(d, gain, system, True, float(frac[k]))
-        z = complex(math.nan, math.nan) if sol.z_apparent is None else sol.z_apparent
+        z = sol.z_apparent
         want = (p_e, abs(sol.current), z.real, z.imag, vi.r_vi, vi.x_vi)
         got = tuple(getattr(rec, field)[k].item() for field in SAMPLE_FIELDS)
         for field, a, b in zip(SAMPLE_FIELDS, got, want):

@@ -133,7 +133,7 @@ def test_solve_zero_drive():
     mag, vi, sol = solve_variable_vi_current(0.0, params)
     assert mag == pytest.approx(0.0, abs=1e-12)
     assert vi == ViValue(0.0, 0.0)
-    assert sol.z_apparent is None
+    assert math.isnan(sol.z_apparent.real) and math.isnan(sol.z_apparent.imag)
 
 
 def test_stalled_solve_reports_its_residual(monkeypatch):

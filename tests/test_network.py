@@ -100,7 +100,7 @@ def test_vi_ratio_defaults_to_total_impedance_angle():
 def test_solve_zero_angle_equal_sources_gives_zero_current():
     sol = solve_network(0.0, 0j, SystemParams())
     assert abs(sol.current) < 1e-12
-    assert sol.z_apparent is None
+    assert math.isnan(sol.z_apparent.real) and math.isnan(sol.z_apparent.imag)
 
 
 def test_solve_at_pi_matches_midline_point():
@@ -131,7 +131,7 @@ def test_kirchhoff_residual_random():
         drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta)
         residual = drive - (complex(params.z_sigma) + z_vi) * complex(sol.current)
         assert abs(residual) < 1e-12
-        if sol.z_apparent is not None:
+        if not cmath.isnan(sol.z_apparent):
             assert abs(complex(sol.z_apparent) * complex(sol.current) - complex(sol.v_relay)) < 1e-12
 
 
@@ -212,6 +212,7 @@ def test_parameters_are_phasors_and_results_plain_complex():
     fields = ("current", "v_pcc", "v_relay", "z_apparent")
     results = [getattr(solve_network(1.0, 0.1 + 0.2j, params), f) for f in fields]
     results += [getattr(solve_faulted(0.1 + 0.2j, params), f) for f in fields]
+    results += [solve_network(0.0, 0j, params).z_apparent]  # NaN: no current
     results += [getattr(electrical_power(1.0, 0.5, params, faulted=True)[1], f) for f in fields]
     results += [s.z_app for s in full_cycle(Strategy.VARIABLE_VI, params, n_samples=9)]
     results += [z_unlimited(1.0, params), z_variable_vi(2.5, params), z_adaptive_vi(2.5, params)]

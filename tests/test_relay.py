@@ -267,7 +267,7 @@ def test_nan_is_outside_everything():
     settings = RelaySettings.table1()
     state = run_stream([complex(0.1, 0.2)] * 10, settings)
     assert state.in_outer
-    state = relay_step(state, None, 10 * DT, DT, settings)
+    state = relay_step(state, complex(math.nan, math.nan), 10 * DT, DT, settings)
     assert not state.in_outer and not state.in_middle and not state.in_inner
 
 
@@ -442,7 +442,7 @@ def walk_both(samples, dt, settings):
         assert relay_step(state, z, t, dt, settings) is state
         for name in SHARED_FIELDS:
             assert getattr(state, name) == getattr(ref, name), (k, name)
-        assert tuple(entry is not None for entry in state.zone_entry) == ref.in_zone, k
+        assert tuple(due is not None for due in state.zone_due) == ref.in_zone, k
     return state.event_log, list(ref.event_log)
 
 

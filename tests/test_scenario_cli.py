@@ -394,6 +394,10 @@ BAD_SCENARIOS = {
     "text-v_g_mag": '{"horizon": 1.0, "system": {"v_g_mag": "abc"}}',
     "text-event-time": '{"horizon": 1.0, "events": [{"time": "x", "kind": "phase_jump"}]}',
     "text-z_g": '{"horizon": 1.0, "system": {"z_g": {"re": "a", "im": 0.6}}}',
+    "numeric-text-h": '{"horizon": 1.0, "apcl": {"h": "7"}}',
+    "numeric-text-z_l": '{"horizon": 1.0, "system": {"z_l": ["0.02", 0.3]}}',
+    "boolean-d_p": '{"horizon": 1.0, "apcl": {"d_p": true}}',
+    "boolean-jump-value": '{"horizon": 1.0, "events": [{"time": 0.5, "kind": "phase_jump", "value": false}]}',
     "text-time_delay": '{"horizon": 1.0, "relay": {"zones": [{"reach": [0.05, 0.48], "time_delay": "q"}]}}',
     "event-not-object": '{"horizon": 1.0, "events": [5]}',
     "nan-apcl-h": '{"horizon": 1.0, "apcl": {"h": NaN}}',
