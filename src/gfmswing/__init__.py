@@ -13,13 +13,11 @@ from .dynamics import (
     swing_derivatives,
 )
 from .errors import (
-    AlwaysExceeded,
     DegenerateCircuit,
     GfmSwingError,
     InsufficientHorizon,
     NoConvergence,
     ParseError,
-    Unreachable,
     ValidationError,
 )
 from .limiter import (
@@ -46,7 +44,6 @@ from .network import (
 from .relay import Blinder, MhoZone, RelaySettings, RelayState, blinder_contains, mho_contains, relay_step
 from .scenario import Scenario, load_scenario, save_scenario, scenario_from_dict, scenario_to_dict
 from .trajectory import (
-    PoleAtZero,
     Segment,
     TrajectorySample,
     cycle_currents,

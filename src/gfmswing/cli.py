@@ -76,13 +76,8 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 
 def _boundary_angles(scn: Scenario) -> dict:
-    out = {}
-    for label, level in (("delta_th", scn.system.i_th), ("delta_lim", scn.system.i_max)):
-        try:
-            out[label] = critical_angle(scn.system, level)
-        except GfmSwingError:
-            out[label] = None
-    return out
+    system = scn.system
+    return {"delta_th": critical_angle(system, system.i_th), "delta_lim": critical_angle(system, system.i_max)}
 
 
 def _finish(out: Path, scn: Scenario, label: str, files: dict, **summary) -> None:

@@ -10,7 +10,6 @@ setpoint steps; the frequency deviation is hard-clamped after every step.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -378,17 +377,14 @@ def _observe(zre, zim, t, dt: float, settings: RelaySettings) -> tuple[np.ndarra
     """
     n = len(zre)
     psb, ost = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    todo = crossings(zre, zim, settings).tolist()  # ascending, so already a heap
-    state, walked = RelayState(), 0
-    while todo:
-        k = heapq.heappop(todo)
-        if k < state.samples:  # a pending trip on a crossing already walked
-            continue
-        psb[walked:k], ost[walked:k] = state.psb_asserted, state.ost_tripped
-        state.samples = walked = k
+    todo = crossings(zre, zim, settings).tolist() + [n]  # ascending from sample 0
+    state, i, k = RelayState(), 0, 0
+    while k < n:
+        state.samples = k
         relay_step(state, complex(zre[k], zim[k]), float(t[k]), dt, settings)
-        for due in state.zone_due:
-            if due is not None and k < due < n:  # a due of k tripped in this call
-                heapq.heappush(todo, due)
-    psb[walked:], ost[walked:] = state.psb_asserted, state.ost_tripped
+        i += todo[i] == k
+        # the walk ends: todo[i] > k now and every due taken is > k, so each pass moves k on
+        step = min([todo[i], *(due for due in state.zone_due if due is not None and due > k)])
+        psb[k:step], ost[k:step] = state.psb_asserted, state.ost_tripped
+        k = step
     return psb, ost, state.event_log

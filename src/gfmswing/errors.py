@@ -13,14 +13,6 @@ class NoConvergence(GfmSwingError):
     """An iterative solve exhausted its budget without meeting tolerance."""
 
 
-class Unreachable(GfmSwingError):
-    """Requested current level is never reached over a full swing cycle."""
-
-
-class AlwaysExceeded(GfmSwingError):
-    """Requested current level is exceeded at every power angle."""
-
-
 class InsufficientHorizon(GfmSwingError):
     """Record does not cover enough post-event time to classify stability."""
 

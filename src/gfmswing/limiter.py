@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AlwaysExceeded, DegenerateCircuit, NoConvergence, Unreachable
+from .errors import DegenerateCircuit, NoConvergence
 from .network import NetworkSolution, SystemParams, solve_network
 
 SOLVE_TOL = 1e-10
@@ -235,20 +235,18 @@ def adaptive_vi_step(
     return AdaptiveState(integrator=integrator, delta_v=delta_v)
 
 
-def critical_angle(params: SystemParams, i_level: float) -> float:
+def critical_angle(params: SystemParams, i_level: float) -> float | None:
     """Power angle at which the unlimited current magnitude reaches ``i_level``.
 
     From the law of cosines on the two source phasors across the total
-    impedance. Raises ``Unreachable`` when the level is never attained and
-    ``AlwaysExceeded`` when it is exceeded at every angle.
+    impedance. ``None`` when no angle does: the level is never attained, or
+    it is exceeded at every angle.
     """
     e = abs(params.e_ref)
     v = params.v_g_mag
     z = abs(params.z_sigma)
     arg = (e * e + v * v - (z * i_level) ** 2) / (2.0 * e * v)
     edge = 1e-9  # grazing contact survives float round-off
-    if arg < -1.0 - edge:
-        raise Unreachable(f"current never reaches {i_level!r} pu (arccos argument {arg:.6f})")
-    if arg > 1.0 + edge:
-        raise AlwaysExceeded(f"current exceeds {i_level!r} pu at every angle (arccos argument {arg:.6f})")
+    if not -1.0 - edge <= arg <= 1.0 + edge:
+        return None
     return math.acos(min(max(arg, -1.0), 1.0))

@@ -187,7 +187,7 @@ def scenario_from_dict(raw: dict, name_fallback: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError(f"scenario root must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 both equal 1
         raise ValidationError(f"unsupported schema_version {_shown(version)}")
     limiter = raw.get("limiter", {})
     if isinstance(limiter, dict) and limiter.get("alpha_vi") is not None:

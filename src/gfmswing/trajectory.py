@@ -6,7 +6,7 @@ under the variable virtual impedance, and a circular arc centred on the
 line-plus-grid impedance under the adaptive strategy. ``full_cycle`` reads
 every locus from the loop current of ``cycle_currents``; the closed forms
 ``z_unlimited``, ``z_adaptive_vi`` and ``limited_current_angle`` hold for
-equal source magnitudes.
+equal source magnitudes. Where no current flows, a locus is ``complex(nan, nan)``.
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GfmSwingError
 from .limiter import Strategy, solve_variable_vi_current, variable_vi_gain
-from .network import SystemParams
-
-
-class PoleAtZero(GfmSwingError):
-    """The unlimited trajectory is at infinity for a zero power angle."""
+from .network import ZERO_CURRENT_TOL, SystemParams
 
 
 class Segment(Enum):
@@ -60,7 +55,7 @@ def z_unlimited(delta: float, params: SystemParams) -> complex:
     """
     half = 0.5 * math.fmod(delta, 2.0 * math.pi)
     if math.sin(half) == 0.0:
-        raise PoleAtZero(f"apparent impedance is unbounded at delta={delta!r}")
+        return complex(math.nan, math.nan)
     cot_half = math.cos(half) / math.sin(half)
     return params.z_relay_to_grid - 0.5 * params.z_sigma - 0.5j * params.z_sigma * cot_half
 
@@ -82,8 +77,8 @@ def z_variable_vi(delta: float, params: SystemParams, gain: float | None = None)
     this is the unlimited loop's impedance.
     """
     v_far, current, _ = cycle_currents(Strategy.VARIABLE_VI, params, np.array([delta]), gain)
-    if current[0] == 0.0:
-        raise PoleAtZero(f"apparent impedance is unbounded at delta={delta!r}")
+    if abs(current[0]) < ZERO_CURRENT_TOL:
+        return complex(math.nan, math.nan)
     return params.z_relay_to_grid + v_far[0] / current[0]
 
 

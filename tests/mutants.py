@@ -1,0 +1,225 @@
+"""Mutant catalogue: small edits of ``src/`` that the test suite must kill.
+
+    python tests/mutants.py
+
+Each mutant names a file, an exact text that occurs there once, the text that
+replaces it, and the tests that must fail on the edited program (its killers).
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
+directory, runs every killer once on the unedited copy (they must pass there),
+then applies one mutant at a time and runs its killers with a timeout. A
+failing killer or a timeout (a walk that stops advancing hangs) kills the
+mutant. The report lists each mutant, every survivor, and every mutant whose
+old text no longer occurs exactly once (stale: the code moved, so the mutant
+must be restated or retired). The exit status is 0 only when every mutant
+applies and is killed.
+
+pytest does not collect this file. A change that adds a fast path adds its
+mutants here; a change that removes the code a mutant patches retires it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 60  # per pytest run; the killers take a few seconds when they do not hang
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the root of the checkout
+    old: str
+    new: str
+    killers: tuple[str, ...]  # pytest node ids
+
+
+LIM, TRJ, DYN, REL = (f"src/gfmswing/{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay"))
+SCN, CLI = "src/gfmswing/scenario.py", "src/gfmswing/cli.py"
+T_LIM, T_TRJ, T_DYN, T_REL, T_CLI = (
+    f"tests/test_{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay", "scenario_cli")
+)
+
+MUTANTS = (
+    # undefined results are values
+    Mutant(
+        "critical_angle drops the lower edge allowance",
+        LIM,
+        "if not -1.0 - edge <= arg",
+        "if not -1.0 + edge <= arg",
+        (f"{T_LIM}::test_critical_angle_extremes",),
+    ),
+    Mutant(
+        "critical_angle clamps where no angle reaches the level",
+        LIM,
+        "        return None\n",
+        "        pass\n",
+        (f"{T_LIM}::test_critical_angle_extremes",),
+    ),
+    Mutant(
+        "z_unlimited reads 0j where no current flows",
+        TRJ,
+        "    if math.sin(half) == 0.0:\n        return complex(math.nan, math.nan)",
+        "    if math.sin(half) == 0.0:\n        return 0j",
+        (f"{T_TRJ}::test_unlimited_pole_at_zero",),
+    ),
+    Mutant(
+        "z_variable_vi reads 0j where no current flows",
+        TRJ,
+        "ZERO_CURRENT_TOL:\n        return complex(math.nan, math.nan)",
+        "ZERO_CURRENT_TOL:\n        return 0j",
+        (f"{T_TRJ}::test_unlimited_pole_at_zero",),
+    ),
+    Mutant(
+        "schema_version takes true and 1.0 as 1",
+        SCN,
+        "if type(version) is not int or version != SCHEMA_VERSION:",
+        "if version != SCHEMA_VERSION:",
+        (
+            f"{T_CLI}::test_cli_error_exit_code[boolean-schema_version]",
+            f"{T_CLI}::test_cli_error_exit_code[float-schema_version]",
+        ),
+    ),
+    # the relay walk
+    Mutant(
+        "_observe drops the dues",
+        DYN,
+        "step = min([todo[i], *(due for due in state.zone_due if due is not None and due > k)])",
+        "step = todo[i]",
+        (f"{T_REL}::test_zone_trips_after_its_delay_in_whole_samples",),
+    ),
+    Mutant(
+        "_observe takes a due on the sample just walked",
+        DYN,
+        "if due is not None and due > k)])",
+        "if due is not None and due >= k)])",
+        (f"{T_REL}::test_zone_trips_after_its_delay_in_whole_samples",),
+    ),
+    Mutant(
+        "_observe never moves past a crossing",
+        DYN,
+        "        i += todo[i] == k\n",
+        "",
+        (f"{T_REL}::test_zone_trips_after_its_delay_in_whole_samples",),
+    ),
+    Mutant(
+        "crossings tests the mho circles with numpy's complex abs",
+        REL,
+        "np.hypot(re - center.real, im - center.imag) <= abs(center)",
+        "np.abs(z - complex(center)) <= abs(center)",
+        (f"{T_REL}::test_crossings_match_scalar_membership",),
+    ),
+    Mutant(
+        "the zone due rounds down",
+        REL,
+        "n + max(0, math.ceil(lag))",
+        "n + max(0, math.floor(lag))",
+        (f"{T_REL}::test_counted_delay_moves_only_the_whole_step_trip",),
+    ),
+    Mutant(
+        "the zone due takes the ceiling of an infinite delay",
+        REL,
+        "n + max(0, math.ceil(lag)) if lag < math.inf else math.inf",
+        "n + max(0, math.ceil(lag))",
+        (f"{T_REL}::test_unreachable_delays_neither_trip_nor_raise",),
+    ),
+    # the kernel
+    Mutant(
+        "the damping term flips sign",
+        DYN,
+        "k1w, k1d = (p0 - stage(delta)[0] - omega * inv_dp)",
+        "k1w, k1d = (p0 - stage(delta)[0] + omega * inv_dp)",
+        (f"{T_DYN}::test_rk4_convergence_order",),
+    ),
+    Mutant(
+        "RK4 takes the weights (2, 2, 1, 1)/6",
+        DYN,
+        "delta += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)",
+        "delta += dt / 6.0 * (2.0 * k1d + 2.0 * k2d + k3d + k4d)",
+        (f"{T_DYN}::test_rk4_convergence_order",),
+    ),
+    Mutant(
+        "the VI gain loses its sqrt(1 + alpha^2)",
+        DYN,
+        "k_vi, solved_at, solved = gain * vi_norm, math.nan, None",
+        "k_vi, solved_at, solved = gain, math.nan, None",
+        (f"{T_DYN}::test_kernel_samples_match_electrical_power[caseA2]",),
+    ),
+    Mutant(
+        "a PI gain move keeps the cached stage solve",
+        DYN,
+        "gain, k_vi, solved_at = moved, moved * vi_norm, math.nan",
+        "gain, k_vi = moved, moved * vi_norm",
+        (f"{T_DYN}::test_kernel_limited_solve_count",),
+    ),
+    Mutant(
+        "the impedance pass always takes the first quotient branch",
+        DYN,
+        "on_re = np.abs(br) >= np.abs(bi)",
+        "on_re = np.abs(br) >= 0.0",
+        (f"{T_DYN}::test_impedance_arrays_repeat_the_complex_formula[caseA1]",),
+    ),
+    # the writer
+    Mutant(
+        "the CSV writer writes None as text",
+        CLI,
+        '("" if v is None else str(v) for v in c)',
+        "(str(v) for v in c)",
+        (f"{T_CLI}::test_write_csv_matches_csv_writer",),
+    ),
+)
+
+
+def _pytest(tree: Path, ids) -> str:
+    """'pass', 'fail' or 'timeout' of the tests ``ids`` run in ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids]
+    try:
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "pass" if done.returncode == 0 else "fail"
+
+
+def main() -> int:
+    started = time.perf_counter()
+    stale, survivors = [], []
+    with tempfile.TemporaryDirectory(prefix="gfmswing-mutants-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(ROOT / "src", tree / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        killers = sorted({test for m in MUTANTS for test in m.killers})
+        if _pytest(tree, killers) != "pass":
+            print("the killers do not all pass on the unedited program; nothing was mutated")
+            return 1
+        for m in MUTANTS:
+            target = tree / m.path
+            source = (ROOT / m.path).read_text()
+            if source.count(m.old) != 1:
+                stale.append(m)
+                print(f"STALE     {m.name}: the old text occurs {source.count(m.old)} times in {m.path}")
+                continue
+            target.write_text(source.replace(m.old, m.new))
+            outcome = _pytest(tree, m.killers)
+            target.write_text(source)
+            if outcome == "pass":
+                survivors.append(m)
+            print(f"{'SURVIVED' if outcome == 'pass' else 'killed':<9} {m.name} ({outcome})")
+    print(
+        f"{len(MUTANTS)} mutants: {len(MUTANTS) - len(stale) - len(survivors)} killed, "
+        f"{len(survivors)} survived, {len(stale)} stale, in {time.perf_counter() - started:.0f} s"
+    )
+    return 0 if not stale and not survivors else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

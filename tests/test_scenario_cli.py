@@ -403,6 +403,8 @@ BAD_SCENARIOS = {
     "nan-apcl-h": '{"horizon": 1.0, "apcl": {"h": NaN}}',
     "numeric-limiter-alpha_vi": '{"horizon": 1.0, "limiter": {"alpha_vi": 10.0}}',
     "numeric-outputs": '{"horizon": 1.0, "outputs": 5}',
+    "boolean-schema_version": '{"schema_version": true, "horizon": 1.0}',
+    "float-schema_version": '{"schema_version": 1.0, "horizon": 1.0}',
     "numeric-name": '{"horizon": 1.0, "name": 5}',
     "huge-horizon": '{"horizon": 1e15}',
     "fault-beyond-line": '{"horizon": 1.0, "events": [{"time": 0.5, "kind": "fault_apply", "value": 1.5}]}',
@@ -631,17 +633,21 @@ def test_cli_trajectory_and_pdelta_without_limiter_engagement(tmp_path):
     # the unlimited current peaks at 1.89 pu, below both levels
     path = tmp_path / "idle.json"
     path.write_text(json.dumps({"horizon": 1.0, "system": {"i_th": 2.0, "i_max": 2.2}}))
-    for command in ("trajectory", "pdelta"):
-        argv = [command, "--scenario", str(path), "--samples", "199", "--out", str(tmp_path / command)]
+    # with v_g at 0.5 pu the current never drops below 0.5/|z_sigma| (0.47 pu), above both levels
+    always = tmp_path / "always.json"
+    always.write_text(json.dumps({"horizon": 1.0, "system": {"v_g_mag": 0.5, "i_th": 0.3, "i_max": 0.4}}))
+    for command, scenario in itertools.product(("trajectory", "pdelta"), (path, always)):
+        out = tmp_path / f"{command}-{scenario.stem}"
+        argv = [command, "--scenario", str(scenario), "--samples", "199", "--out", str(out)]
         assert main(argv) == 0
-        summary = json.loads((tmp_path / command / "summary.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["boundaries"] == {"delta_th": None, "delta_lim": None}
     for strategy in ("variable", "adaptive"):
         argv = ["trajectory", "--scenario", str(path), "--strategy", strategy, "--out", str(tmp_path / strategy)]
         assert main(argv) == 0
         rows = csv.DictReader((tmp_path / strategy / "trajectory.csv").read_text().splitlines())
         assert {row["segment"] for row in rows} == {Segment.INACTIVE.value}
-    rows = list(csv.DictReader((tmp_path / "pdelta" / "pdelta.csv").read_text().splitlines()))
+    rows = list(csv.DictReader((tmp_path / "pdelta-idle" / "pdelta.csv").read_text().splitlines()))
     assert len(rows) == 199
     assert all(row["variable_active"] == row["adaptive_active"] == "0" for row in rows)
     assert all(row["p_variable"] == row["p_adaptive"] == row["p_none"] for row in rows)
