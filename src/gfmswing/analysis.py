@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InsufficientHorizon
 from .limiter import Strategy
-from .network import SystemParams, _pcc_power
+from .network import SystemParams, active_power
 from .dynamics import SimulationRecord, event_step
 from .trajectory import _cycle_grid, cycle_currents
 
@@ -54,7 +54,7 @@ def p_delta_curve(
     """
     delta = _cycle_grid(n)
     v_far, current, active = cycle_currents(strategy, params, delta, gain)
-    p = _pcc_power(v_far + params.z_sigma * current, current)
+    p = active_power(v_far + params.z_sigma * current, current)
     return PDeltaCurve(delta=delta, p=p, vi_active=active)
 
 

@@ -30,7 +30,7 @@ from .limiter import (
     variable_vi_gain,
     vi_gain_from_drop,
 )
-from .network import ZERO_CURRENT_TOL, NetworkSolution, SystemParams, active_power, solve_faulted
+from .network import NetworkSolution, SystemParams, active_power, relay_impedance, solve_faulted
 from .relay import CROSSING_BLOCK, RelaySettings, RelayState, crossings, relay_step
 
 
@@ -157,25 +157,22 @@ def _limiter_gain(cfg: LimiterConfig, adaptive: AdaptiveState, params: SystemPar
 
 
 def electrical_power(
-    delta: float,
-    gain: float,
-    params: SystemParams,
-    faulted: bool = False,
-    fault_fraction: float = 0.5,
+    delta: float, gain: float, params: SystemParams, fault: float | None = None
 ) -> tuple[float, NetworkSolution, ViValue]:
     """Electrical power (and full solution) with a virtual-impedance gain.
 
     The loop current is solved self-consistently with the VI of ``gain``
-    (zero gives the unlimited loop). During a fault the loop runs to the
-    zero-voltage node instead of the grid source.
+    (zero gives the unlimited loop). With ``fault``, the fraction along the
+    line of a bolted fault, the loop runs to that zero-voltage node instead
+    of the grid source.
     """
-    if not faulted:
+    if fault is None:
         _, vi, sol = solve_variable_vi_current(delta, params, gain)
-        return active_power(sol), sol, vi
-    z_ext = params.z_tr + fault_fraction * params.z_l
-    _, vi = solve_limited_current(params.e_ref, z_ext, gain, params.vi_ratio, params.i_th)
-    sol = solve_faulted(vi.as_complex, params, fault_fraction)
-    return active_power(sol), sol, vi
+    else:
+        z_ext = params.z_tr + fault * params.z_l
+        _, vi = solve_limited_current(params.e_ref, z_ext, gain, params.vi_ratio, params.i_th)
+        sol = solve_faulted(vi.as_complex, params, fault)
+    return active_power(sol.v_pcc, sol.current), sol, vi
 
 
 def initial_state(system: SystemParams, apcl: ApclParams, cfg: LimiterConfig) -> float:
@@ -236,8 +233,8 @@ def run_scenario(scenario) -> SimulationRecord:
     Without an explicit ``alpha_vi`` the healthy root is the closed-form ``_loop_magnitude``;
     the faulted loop and an explicit ratio take rtsafe. A healthy stage needs only
     p_e = Re(V_pcc I*): the two-source power-angle expression over the loop r_t + j*x_t
-    (VI included) plus R_sigma*|I|^2. The healthy samples' apparent impedance
-    z_relay + V_far*(r_t + j*x_t)/(E - V_far) follows the loop.
+    (VI included) plus R_sigma*|I|^2. After the loop, the healthy samples' current
+    (E - V_far)/(z_sigma + r_vi*(1 + j*alpha)) is read through ``relay_impedance``.
     """
     system, apcl, cfg = scenario.system, scenario.apcl, scenario.limiter
     events, dt = scenario.events, scenario.dt
@@ -251,7 +248,8 @@ def run_scenario(scenario) -> SimulationRecord:
     ve, vv = v_g_mag * e, v_g_mag * v_g_mag
     closed, z_mag, vi_norm = system.alpha_vi is None, abs(z_sigma), math.sqrt(1.0 + alpha * alpha)
 
-    delta_arr, omega_arr, imag_arr, zre_arr, zim_arr, pe_arr, vir_arr = (np.empty(n) for _ in range(7))
+    delta_arr, omega_arr, imag_arr, pe_arr, vir_arr = (np.empty(n) for _ in range(5))
+    zapp = np.empty(n, dtype=complex)
     # the loop records through memoryviews, whose float stores skip numpy's item assignment
     d_out, w_out, i_out, p_out, r_out = map(memoryview, (delta_arr, omega_arr, imag_arr, pe_arr, vir_arr))
     t_arr = np.concatenate(([0.0], np.cumsum(np.full(n - 1, dt))))  # a running sum of dt, added in order
@@ -259,7 +257,7 @@ def run_scenario(scenario) -> SimulationRecord:
 
     delta = initial_state(system, apcl, cfg)
     omega, p0 = 0.0, apcl.p0
-    faulted, frac, next_event = False, 0.5, 0
+    fault, next_event = None, 0  # the fraction along the line of the fault in force
     adaptive = AdaptiveState()
     gain = _limiter_gain(cfg, adaptive, system)
     k_vi, solved_at, solved = gain * vi_norm, math.nan, None
@@ -284,8 +282,8 @@ def run_scenario(scenario) -> SimulationRecord:
 
     def fault_span(d: float, lo: int, hi: int):
         """Solve the faulted loop for samples lo to hi - 1: store their impedance, return their stage."""
-        p_e, sol, vi = electrical_power(d, gain, system, True, frac)
-        fault_at[lo:hi], zre_arr[lo:hi], zim_arr[lo:hi] = True, sol.z_apparent.real, sol.z_apparent.imag
+        p_e, sol, vi = electrical_power(d, gain, system, fault)
+        fault_at[lo:hi], zapp[lo:hi] = True, sol.z_apparent
         sample = p_e, abs(sol.current), vi.r_vi
         return lambda _: sample
 
@@ -299,12 +297,12 @@ def run_scenario(scenario) -> SimulationRecord:
             if ev.kind is EventKind.PHASE_JUMP:
                 delta += ev.value
             elif ev.kind is EventKind.FAULT_APPLY:
-                faulted, frac = True, 0.5 if ev.value is None else ev.value
+                fault = 0.5 if ev.value is None else ev.value
             elif ev.kind is EventKind.FAULT_CLEAR:
-                faulted = False
+                fault = None
             else:
                 p0 += ev.value
-        stage = fault_span(delta, lo, hi) if faulted else evaluate
+        stage = evaluate if fault is None else fault_span(delta, lo, hi)
         for k in range(lo, hi):
             # the swing equation of ``swing_derivatives``, with its factors taken once per run
             k1w, k1d = (p0 - stage(delta)[0] - omega * inv_dp) * inv_2h, omega_n * omega
@@ -325,37 +323,26 @@ def run_scenario(scenario) -> SimulationRecord:
                 drop, adaptive = adaptive.delta_v, adaptive_vi_step(adaptive, i_mag, dt, cfg, system.i_max)
                 if adaptive.delta_v != drop and (moved := _limiter_gain(cfg, adaptive, system)) != gain:
                     gain, k_vi, solved_at = moved, moved * vi_norm, math.nan
-                    if faulted and k + 1 < hi:
+                    if fault is not None and k + 1 < hi:
                         stage = fault_span(delta, k + 1, hi)
 
     for block in (slice(lo, lo + CROSSING_BLOCK) for lo in range(0, n, CROSSING_BLOCK)):  # bounds temporaries
-        v_far, vir = v_g_mag * np.exp(-1j * delta_arr[block]), vir_arr[block]
-        v_re, v_im, rt, xt = v_far.real, v_far.imag, r_sigma + vir, x_sigma + alpha * vir
-        # V_far*(r_t + j*x_t)/(E - V_far) by CPython's complex product and quotient, op for op
-        ar, ai, br, bi = v_re * rt - v_im * xt, v_re * xt + v_im * rt, e - v_re, 0.0 - v_im
-        on_re = np.abs(br) >= np.abs(bi)
-        with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken, or no current
-            ratio = np.where(on_re, bi / br, br / bi)
-            denom = np.where(on_re, br + bi * ratio, br * ratio + bi)
-            zr = z_relay.real + np.where(on_re, ar + ai * ratio, ar * ratio + ai) / denom
-            zi = z_relay.imag + np.where(on_re, ai - ar * ratio, ai * ratio - ar) / denom
-        kept, off = fault_at[block], imag_arr[block] < ZERO_CURRENT_TOL
-        zre_arr[block] = np.where(kept, zre_arr[block], np.where(off, math.nan, zr))
-        zim_arr[block] = np.where(kept, zim_arr[block], np.where(off, math.nan, zi))
-        del v_far, v_re, v_im, rt, xt, ar, ai, br, bi, ratio, denom, zr, zi  # before the next block allocates
+        v_far = v_g_mag * np.exp(-1j * delta_arr[block])
+        current = (e - v_far) / (z_sigma + vir_arr[block] * complex(1.0, alpha))
+        zapp[block] = np.where(fault_at[block], zapp[block], relay_impedance(v_far, current, z_relay))
 
     if scenario.relay is None:
         psb_arr, ost_arr, relay_events = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), []
     else:
-        psb_arr, ost_arr, relay_events = _observe(zre_arr, zim_arr, t_arr, dt, scenario.relay)
+        psb_arr, ost_arr, relay_events = _observe(zapp, t_arr, dt, scenario.relay)
 
     return SimulationRecord(
         t=t_arr,
         delta=delta_arr,
         omega_dev=omega_arr,
         i_mag=imag_arr,
-        zapp_re=zre_arr,
-        zapp_im=zim_arr,
+        zapp_re=zapp.real,
+        zapp_im=zapp.imag,
         p_e=pe_arr,
         vi_r=vir_arr,
         vi_x=alpha * vir_arr,
@@ -367,7 +354,7 @@ def run_scenario(scenario) -> SimulationRecord:
     )
 
 
-def _observe(zre, zim, t, dt: float, settings: RelaySettings) -> tuple[np.ndarray, np.ndarray, list]:
+def _observe(zapp, t, dt: float, settings: RelaySettings) -> tuple[np.ndarray, np.ndarray, list]:
     """PSB and OST flags per sample and the event log of a relay watching the stream.
 
     Between two ``crossings`` the relay's state changes only by a zone trip,
@@ -375,13 +362,13 @@ def _observe(zre, zim, t, dt: float, settings: RelaySettings) -> tuple[np.ndarra
     entered. So ``relay_step`` takes only the crossings and the dues inside the
     record, and each flag holds its value until the next of them.
     """
-    n = len(zre)
+    n = len(zapp)
     psb, ost = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    todo = crossings(zre, zim, settings).tolist() + [n]  # ascending from sample 0
+    todo = crossings(zapp, settings).tolist() + [n]  # ascending from sample 0
     state, i, k = RelayState(), 0, 0
     while k < n:
         state.samples = k
-        relay_step(state, complex(zre[k], zim[k]), float(t[k]), dt, settings)
+        relay_step(state, zapp[k].item(), float(t[k]), dt, settings)
         i += todo[i] == k
         # the walk ends: todo[i] > k now and every due taken is > k, so each pass moves k on
         step = min([todo[i], *(due for due in state.zone_due if due is not None and due > k)])

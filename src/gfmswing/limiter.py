@@ -132,10 +132,11 @@ def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: floa
     (rtsafe, Numerical Recipes 9.4) starts at the right end of the bracket,
     where the convex residual makes it descend monotonically, and falls back
     to bisection whenever a step would leave the bracket. ``run_scenario``
-    takes it for the faulted loop and for an explicit ``alpha_vi``.
+    takes it for the faulted loop and for an explicit ``alpha_vi``. No drive gives no
+    current, and the NaN drive of a diverging swing a NaN one.
     """
-    if e_mag == 0.0:
-        return 0.0
+    if not e_mag > 0.0:
+        return e_mag
     z_ext_mag = abs(z_ext)
     if gain <= 0.0:
         if z_ext_mag < 1e-12:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DegenerateCircuit
 
 ZERO_CURRENT_TOL = 1e-12
@@ -123,12 +125,11 @@ class NetworkSolution:
     """Complex solution of one series-loop solve.
 
     ``z_apparent`` is the relay measurement (relay-bus voltage over loop
-    current) and is NaN when the current is numerically zero.
+    current), read by the rule of ``relay_impedance``.
     """
 
     current: complex
     v_pcc: complex
-    v_relay: complex
     z_apparent: complex
 
 
@@ -152,10 +153,17 @@ def _series_loop(v_far: complex, z_vi: complex, e_ref: complex, z_loop: complex,
     if abs(z_total) < 1e-12:
         raise DegenerateCircuit(f"series loop impedance {abs(z_total):.3e} with the far source at {v_far!r}")
     current = (e_ref - v_far) / z_total
-    v_pcc = v_far + z_loop * current
-    v_relay = v_far + z_relay * current
-    z_apparent = complex(math.nan, math.nan) if abs(current) < ZERO_CURRENT_TOL else v_relay / current
-    return current, v_pcc, v_relay, z_apparent
+    z_apparent = complex(math.nan, math.nan) if abs(current) < ZERO_CURRENT_TOL else z_relay + v_far / current
+    return current, v_far + z_loop * current, z_apparent
+
+
+def relay_impedance(v_far: np.ndarray, current: np.ndarray, z_relay: complex) -> np.ndarray:
+    """The relay's reading of ``_series_loop`` over arrays: the relay-bus voltage
+    V_far + z_relay*I over the current I, that is z_relay + V_far/I, and NaN where
+    |I| < ``ZERO_CURRENT_TOL``, where no current flows to measure."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # where no current flows
+        z = z_relay + v_far / current
+    return np.where(np.abs(current) < ZERO_CURRENT_TOL, complex(math.nan, math.nan), z)
 
 
 def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) -> NetworkSolution:
@@ -164,7 +172,7 @@ def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) ->
     The fault sits ``fraction`` of the way from the relay bus to the grid;
     the loop runs from the voltage reference through the transformer and the
     faulted line stub to a zero-voltage node: the series loop with its far
-    source at 0 V, so the grid source drops out of the relay's measurement.
+    source at 0 V, so the relay reads exactly ``fraction * z_l``.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fault fraction must be in [0, 1], got {fraction!r}")
@@ -172,10 +180,6 @@ def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) ->
     return NetworkSolution(*_series_loop(0j, z_vi, params.e_ref, params.z_tr + z_relay, z_relay))
 
 
-def active_power(sol: NetworkSolution) -> float:
-    """Active power injected at the PCC: real part of V_pcc times conjugated current."""
-    return _pcc_power(sol.v_pcc, sol.current)
-
-
-def _pcc_power(v_pcc: complex, current: complex) -> float:
+def active_power(v_pcc, current):
+    """Active power injected at the PCC, Re(V_pcc I*); elementwise for complex arrays."""
     return (v_pcc * current.conjugate()).real

@@ -59,9 +59,11 @@ class Blinder:
 
 
 def mho_contains(z: complex, zone: MhoZone) -> bool:
-    """Boundary-inclusive membership in the zone's mho circle."""
+    """Boundary-inclusive membership in the zone's mho circle; elementwise for a complex array.
+
+    ``np.hypot`` rounds as ``abs`` of a Python complex does; numpy's complex abs does not."""
     center = 0.5 * zone.reach
-    return abs(z - center) <= abs(center)
+    return np.hypot(z.real - center.real, z.imag - center.imag) <= abs(center)
 
 
 def blinder_contains(z: complex, b: Blinder) -> bool:
@@ -207,23 +209,20 @@ def relay_step(
     return state
 
 
-def crossings(zre: np.ndarray, zim: np.ndarray, settings: RelaySettings) -> np.ndarray:
-    """Sample 0 and, in order, every sample whose set of containing characteristics
-    differs from the previous sample's.
+def crossings(zapp: np.ndarray, settings: RelaySettings) -> np.ndarray:
+    """Sample 0 and, in order, every sample of the complex stream ``zapp`` whose set
+    of containing characteristics differs from the previous sample's.
 
-    Each block calls ``blinder_contains`` on its samples and repeats the float
-    arithmetic of ``mho_contains`` element by element, so a NaN sample lies
-    outside every characteristic. The record is tested ``CROSSING_BLOCK``
-    samples at a time, each block overlapping the previous one by a sample.
+    Each block calls ``blinder_contains`` and ``mho_contains`` on its samples, so a
+    NaN sample lies outside every characteristic. The record is tested
+    ``CROSSING_BLOCK`` samples at a time, each block overlapping the previous one by
+    a sample.
     """
     found = [np.zeros(1, dtype=np.intp)]
-    for start in range(1, len(zre), CROSSING_BLOCK):
-        re, im = zre[start - 1 : start + CROSSING_BLOCK], zim[start - 1 : start + CROSSING_BLOCK]
-        z = re + 1j * im
+    for start in range(1, len(zapp), CROSSING_BLOCK):
+        z = zapp[start - 1 : start + CROSSING_BLOCK]
         inside = [blinder_contains(z, b) for b in (settings.outer, settings.middle, settings.inner)]
-        for zone in settings.zones:  # np.hypot rounds as abs() of a Python complex; numpy's complex abs does not
-            center = 0.5 * zone.reach
-            inside.append(np.hypot(re - center.real, im - center.imag) <= abs(center))
+        inside += [mho_contains(z, zone) for zone in settings.zones]
         changed = np.diff(inside, axis=1).any(axis=0)  # a bool diff is !=
         found.append(np.flatnonzero(changed) + start)
     return np.concatenate(found)

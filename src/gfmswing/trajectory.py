@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .limiter import Strategy, solve_variable_vi_current, variable_vi_gain
-from .network import ZERO_CURRENT_TOL, SystemParams
+from .network import ZERO_CURRENT_TOL, SystemParams, relay_impedance
 
 
 class Segment(Enum):
@@ -52,12 +52,13 @@ def z_unlimited(delta: float, params: SystemParams) -> complex:
 
     Valid for equal source magnitudes; the locus is the straight line
     through ``z_relay_to_grid - z_sigma/2`` with direction ``-j*z_sigma``.
+    NaN where the unlimited current |E - V_far|/|z_sigma| = 2*v_g*|sin(delta/2)|/|z_sigma|
+    is below ``ZERO_CURRENT_TOL``, the rule of ``relay_impedance``.
     """
-    half = 0.5 * math.fmod(delta, 2.0 * math.pi)
-    if math.sin(half) == 0.0:
+    sin_half, cos_half = math.sin(0.5 * delta), math.cos(0.5 * delta)
+    if 2.0 * params.v_g_mag * abs(sin_half) < ZERO_CURRENT_TOL * abs(params.z_sigma):
         return complex(math.nan, math.nan)
-    cot_half = math.cos(half) / math.sin(half)
-    return params.z_relay_to_grid - 0.5 * params.z_sigma - 0.5j * params.z_sigma * cot_half
+    return params.z_relay_to_grid - 0.5 * params.z_sigma - 0.5j * params.z_sigma * (cos_half / sin_half)
 
 
 def limited_current_angle(delta: float, phi: float) -> float:
@@ -77,9 +78,7 @@ def z_variable_vi(delta: float, params: SystemParams, gain: float | None = None)
     this is the unlimited loop's impedance.
     """
     v_far, current, _ = cycle_currents(Strategy.VARIABLE_VI, params, np.array([delta]), gain)
-    if abs(current[0]) < ZERO_CURRENT_TOL:
-        return complex(math.nan, math.nan)
-    return params.z_relay_to_grid + v_far[0] / current[0]
+    return relay_impedance(v_far, current, params.z_relay_to_grid)[0].item()
 
 
 def z_adaptive_vi(delta: float, params: SystemParams) -> complex:
@@ -150,7 +149,7 @@ def _cycle_loci(
     delta = _cycle_grid(n_samples)
     v_far, current, active = cycle_currents(strategy, params, delta, gain)
     limited = Segment.ACTIVE_ADAPTIVE if strategy is Strategy.ADAPTIVE_VI else Segment.ACTIVE_VARIABLE
-    return delta, params.z_relay_to_grid + v_far / current, active, limited
+    return delta, relay_impedance(v_far, current, params.z_relay_to_grid), active, limited
 
 
 def full_cycle(

@@ -41,10 +41,12 @@ class Mutant:
     killers: tuple[str, ...]  # pytest node ids
 
 
-LIM, TRJ, DYN, REL = (f"src/gfmswing/{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay"))
+LIM, TRJ, DYN, REL, NET = (
+    f"src/gfmswing/{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay", "network")
+)
 SCN, CLI = "src/gfmswing/scenario.py", "src/gfmswing/cli.py"
-T_LIM, T_TRJ, T_DYN, T_REL, T_CLI = (
-    f"tests/test_{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay", "scenario_cli")
+T_LIM, T_TRJ, T_DYN, T_REL, T_CLI, T_NET = (
+    f"tests/test_{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay", "scenario_cli", "network")
 )
 
 MUTANTS = (
@@ -66,16 +68,41 @@ MUTANTS = (
     Mutant(
         "z_unlimited reads 0j where no current flows",
         TRJ,
-        "    if math.sin(half) == 0.0:\n        return complex(math.nan, math.nan)",
-        "    if math.sin(half) == 0.0:\n        return 0j",
+        "ZERO_CURRENT_TOL * abs(params.z_sigma):\n        return complex(math.nan, math.nan)",
+        "ZERO_CURRENT_TOL * abs(params.z_sigma):\n        return 0j",
         (f"{T_TRJ}::test_unlimited_pole_at_zero",),
     ),
     Mutant(
-        "z_variable_vi reads 0j where no current flows",
-        TRJ,
-        "ZERO_CURRENT_TOL:\n        return complex(math.nan, math.nan)",
-        "ZERO_CURRENT_TOL:\n        return 0j",
+        "z_variable_vi reads 0j where no current flows (the array rule of relay_impedance)",
+        NET,
+        "np.abs(current) < ZERO_CURRENT_TOL, complex(math.nan, math.nan)",
+        "np.abs(current) < ZERO_CURRENT_TOL, 0j",
         (f"{T_TRJ}::test_unlimited_pole_at_zero",),
+    ),
+    # one impedance formula and one no-current rule
+    Mutant(
+        "relay_impedance drops its no-current rule",
+        NET,
+        "return np.where(np.abs(current) < ZERO_CURRENT_TOL, complex(math.nan, math.nan), z)",
+        "return z",
+        (f"{T_NET}::test_relay_impedance_reads_the_series_loop_over_arrays",),
+    ),
+    Mutant(
+        "_series_loop reads V_far / I without z_relay",
+        NET,
+        "else z_relay + v_far / current",
+        "else v_far / current",
+        (
+            f"{T_NET}::test_kirchhoff_residual_random",
+            f"{T_NET}::test_faulted_loop_is_the_series_loop_with_a_zero_far_source",
+        ),
+    ),
+    Mutant(
+        "rtsafe iterates on the NaN drive of a diverging swing",
+        LIM,
+        "    if not e_mag > 0.0:\n        return e_mag",
+        "    if e_mag == 0.0:\n        return e_mag",
+        (f"{T_DYN}::test_kernel_raises_like_reference[diverged-explicit-alpha]",),
     ),
     Mutant(
         "schema_version takes true and 1.0 as 1",
@@ -110,11 +137,11 @@ MUTANTS = (
         (f"{T_REL}::test_zone_trips_after_its_delay_in_whole_samples",),
     ),
     Mutant(
-        "crossings tests the mho circles with numpy's complex abs",
+        "mho_contains takes numpy's complex abs",
         REL,
-        "np.hypot(re - center.real, im - center.imag) <= abs(center)",
+        "np.hypot(z.real - center.real, z.imag - center.imag) <= abs(center)",
         "np.abs(z - complex(center)) <= abs(center)",
-        (f"{T_REL}::test_crossings_match_scalar_membership",),
+        (f"{T_REL}::test_mho_contains_rounds_as_complex_abs",),
     ),
     Mutant(
         "the zone due rounds down",
@@ -146,6 +173,13 @@ MUTANTS = (
         (f"{T_DYN}::test_rk4_convergence_order",),
     ),
     Mutant(
+        "the impedance pass reads the current of the loop without its VI",
+        DYN,
+        "current = (e - v_far) / (z_sigma + vir_arr[block] * complex(1.0, alpha))",
+        "current = (e - v_far) / z_sigma",
+        (f"{T_DYN}::test_impedance_arrays_repeat_the_complex_formula[caseB2]",),
+    ),
+    Mutant(
         "the VI gain loses its sqrt(1 + alpha^2)",
         DYN,
         "k_vi, solved_at, solved = gain * vi_norm, math.nan, None",
@@ -158,13 +192,6 @@ MUTANTS = (
         "gain, k_vi, solved_at = moved, moved * vi_norm, math.nan",
         "gain, k_vi = moved, moved * vi_norm",
         (f"{T_DYN}::test_kernel_limited_solve_count",),
-    ),
-    Mutant(
-        "the impedance pass always takes the first quotient branch",
-        DYN,
-        "on_re = np.abs(br) >= np.abs(bi)",
-        "on_re = np.abs(br) >= 0.0",
-        (f"{T_DYN}::test_impedance_arrays_repeat_the_complex_formula[caseA1]",),
     ),
     # the writer
     Mutant(

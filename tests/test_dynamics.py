@@ -423,11 +423,11 @@ def reference_run(scenario) -> SimulationRecord:
 
     delta = reference_initial_state(system, apcl, cfg)
     omega, t, p0 = 0.0, 0.0, apcl.p0
-    faulted, frac, next_event = False, 0.5, 0
+    fault, next_event = None, 0
     adaptive = AdaptiveState()
 
     def rates(d: float, w: float) -> tuple[float, float]:
-        p_e = electrical_power(d, gain, system, faulted, frac)[0]
+        p_e = electrical_power(d, gain, system, fault)[0]
         return swing_derivatives(w, p0, p_e, apcl)
 
     for k in range(n):
@@ -439,9 +439,9 @@ def reference_run(scenario) -> SimulationRecord:
                 if ev.kind is EventKind.PHASE_JUMP:
                     delta += ev.value
                 elif ev.kind is EventKind.FAULT_APPLY:
-                    faulted, frac = True, 0.5 if ev.value is None else ev.value
+                    fault = 0.5 if ev.value is None else ev.value
                 elif ev.kind is EventKind.FAULT_CLEAR:
-                    faulted = False
+                    fault = None
                 else:
                     p0 += ev.value
             k1w, k1d = rates(delta, omega)
@@ -455,7 +455,7 @@ def reference_run(scenario) -> SimulationRecord:
             if not math.isfinite(delta + omega):
                 raise ValidationError(f"the swing diverged at t={t!r} s; dt={dt!r} is too coarse")
 
-        p_e, sol, vi = electrical_power(delta, gain, system, faulted, frac)
+        p_e, sol, vi = electrical_power(delta, gain, system, fault)
         t_arr[k] = t
         delta_arr[k] = delta
         omega_arr[k] = omega
@@ -629,10 +629,7 @@ def test_kernel_samples_match_electrical_power(name):
     adaptive = AdaptiveState()
     for k, d in enumerate(rec.delta.tolist()):
         gain = _limiter_gain(cfg, adaptive, system)
-        if math.isnan(frac[k]):
-            p_e, sol, vi = electrical_power(d, gain, system)
-        else:
-            p_e, sol, vi = electrical_power(d, gain, system, True, float(frac[k]))
+        p_e, sol, vi = electrical_power(d, gain, system, None if math.isnan(frac[k]) else float(frac[k]))
         z = sol.z_apparent
         want = (p_e, abs(sol.current), z.real, z.imag, vi.r_vi, vi.x_vi)
         got = tuple(getattr(rec, field)[k].item() for field in SAMPLE_FIELDS)
@@ -645,20 +642,27 @@ def test_kernel_samples_match_electrical_power(name):
             adaptive = adaptive_vi_step(adaptive, got[1], scn.dt, cfg, system.i_max)
 
 
+QUOTIENT_TOL = 1e-15  # relative to max(1, |z|): numpy's two complex quotients against CPython's (6.2e-16 seen)
+
+
 @pytest.mark.parametrize("name", KERNEL_SCENARIOS)
 def test_impedance_arrays_repeat_the_complex_formula(name):
-    # the healthy samples' impedance, formed over arrays after the loop, is bit for bit
-    # what Python's complex arithmetic gives on the recorded angle and VI resistance
+    # the healthy samples' impedance, formed over arrays after the loop, is the relay's
+    # reading z_relay + V_far / I that Python's complex arithmetic gives on the recorded
+    # angle and VI resistance, to the rounding of the quotient, and NaN where no current flows
     scn = replace(KERNEL_SCENARIOS[name], dt=2e-3)
     system, rec = scn.system, run_scenario(scn)
-    e, alpha = system.e_ref.real, system.vi_ratio
-    z_sigma, z_relay = complex(system.z_sigma), complex(system.z_relay_to_grid)
-    healthy = np.isnan(fault_spans(scn, len(rec)))
-    for k in np.flatnonzero(healthy & (rec.i_mag >= ZERO_CURRENT_TOL)).tolist():
+    alpha, z_sigma, z_relay = system.vi_ratio, complex(system.z_sigma), complex(system.z_relay_to_grid)
+    for k in np.flatnonzero(np.isnan(fault_spans(scn, len(rec)))).tolist():
         v_far = system.v_g_mag * cmath.exp(-1j * rec.delta[k].item())
         r_vi = rec.vi_r[k].item()
-        z = z_relay + v_far * (z_sigma + complex(r_vi, alpha * r_vi)) / (e - v_far)
-        assert (rec.zapp_re[k], rec.zapp_im[k]) == (z.real, z.imag), k
+        current = (system.e_ref - v_far) / (z_sigma + complex(r_vi, alpha * r_vi))
+        got = complex(rec.zapp_re[k], rec.zapp_im[k])
+        if abs(current) < ZERO_CURRENT_TOL:
+            assert math.isnan(got.real) and math.isnan(got.imag), k
+        else:
+            z = z_relay + v_far / current
+            assert abs(got - z) <= QUOTIENT_TOL * max(1.0, abs(z)), (k, got, z)
     assert np.array_equal(rec.vi_x, system.vi_ratio * rec.vi_r)
 
 
@@ -676,6 +680,20 @@ RAISING = {
         1,
     ),
     "diverged": ({"events": OVERFLOWING_STEPS}, ValidationError, limiter.MAX_SOLVE_ITER),
+    # the infinite stage angle of a diverging swing drives rtsafe with NaN, which
+    # it hands back at once for the swing check to report
+    **{
+        name: (
+            {"system": SystemParams(alpha_vi=3.0), "limiter": LimiterConfig(strategy=strategy),
+             "events": OVERFLOWING_STEPS},
+            ValidationError,
+            limiter.MAX_SOLVE_ITER,
+        )
+        for name, strategy in (
+            ("diverged-explicit-alpha", Strategy.VARIABLE_VI),
+            ("diverged-explicit-alpha-adaptive", Strategy.ADAPTIVE_VI),
+        )
+    },
 }
 
 
@@ -696,6 +714,7 @@ def test_kernel_raises_like_reference(name, monkeypatch):
     with pytest.raises(error) as want:
         reference_run(scn)
     assert str(got.value) == str(want.value)
+    assert error is not ValidationError or "diverged" in str(got.value)
 
 
 def counted_solves(monkeypatch) -> dict[str, int]:

@@ -24,6 +24,7 @@ from gfmswing import (
     z_variable_vi,
 )
 from gfmswing.limiter import vi_drop
+from gfmswing.network import ZERO_CURRENT_TOL, relay_impedance
 from gfmswing.trajectory import line_distance
 
 TABLE1_POLAR = ((0.6, 84.29), (0.3, 84.29), (0.16, 88.57))
@@ -131,8 +132,9 @@ def test_kirchhoff_residual_random():
         drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta)
         residual = drive - (complex(params.z_sigma) + z_vi) * complex(sol.current)
         assert abs(residual) < 1e-12
-        if not cmath.isnan(sol.z_apparent):
-            assert abs(complex(sol.z_apparent) * complex(sol.current) - complex(sol.v_relay)) < 1e-12
+        if not cmath.isnan(sol.z_apparent):  # the relay reads z_relay + V_far / I
+            v_far = params.v_g_mag * cmath.exp(-1j * delta)
+            assert abs((sol.z_apparent - params.z_relay_to_grid) * sol.current - v_far) < 1e-12
 
 
 def test_apparent_impedance_collinear_for_equal_magnitudes():
@@ -159,21 +161,36 @@ def test_degenerate_circuit():
 
 
 def test_active_power_trivial_cases():
-    from gfmswing import NetworkSolution
-
     params = SystemParams()
-    assert active_power(solve_network(0.0, 0j, params)) == pytest.approx(0.0, abs=1e-24)
-    unity = NetworkSolution(
-        current=Phasor(1.0, 0.0),
-        v_pcc=Phasor(1.0, 0.0),
-        v_relay=Phasor(1.0, 0.0),
-        z_apparent=Phasor(1.0, 0.0),
-    )
-    assert active_power(unity) == 1.0
+    sol = solve_network(0.0, 0j, params)
+    assert active_power(sol.v_pcc, sol.current) == pytest.approx(0.0, abs=1e-24)
+    assert active_power(Phasor(1.0, 0.0), Phasor(1.0, 0.0)) == 1.0
     sol = solve_network(math.pi / 2, 0j, params)
     # oracle: direct real part of V * conj(I) from rectangular components
     v, i = complex(sol.v_pcc), complex(sol.current)
-    assert active_power(sol) == pytest.approx(v.real * i.real + v.imag * i.imag, abs=1e-15)
+    assert active_power(sol.v_pcc, sol.current) == pytest.approx(v.real * i.real + v.imag * i.imag, abs=1e-15)
+    # elementwise over arrays, as p_delta_curve reads it
+    sols = [solve_network(d, 0.1 + 0.3j, params) for d in np.linspace(0.1, 6.2, 50).tolist()]
+    got = active_power(np.array([s.v_pcc for s in sols]), np.array([s.current for s in sols]))
+    np.testing.assert_allclose(got, [active_power(s.v_pcc, s.current) for s in sols], rtol=1e-15)
+
+
+def test_relay_impedance_reads_the_series_loop_over_arrays():
+    # the array rule of the kernel and the loci against the scalar one of the object path:
+    # z_relay + V_far / I, NaN where |I| < ZERO_CURRENT_TOL (no current at 0, 1e-13 and 2*pi)
+    params = SystemParams()
+    rng = np.random.default_rng(5)
+    delta = np.concatenate(([0.0, 1e-13, 2.0 * math.pi], rng.uniform(0.0, 2.0 * math.pi, 500)))
+    z_vi = rng.uniform(0.0, 0.5, delta.size) * complex(1.0, 3.0)
+    sols = [solve_network(d, z, params) for d, z in zip(delta.tolist(), z_vi.tolist())]
+    current = np.array([s.current for s in sols])
+    got = relay_impedance(params.v_g_mag * np.exp(-1j * delta), current, params.z_relay_to_grid)
+    want = np.array([s.z_apparent for s in sols])
+    off = np.abs(current) < ZERO_CURRENT_TOL
+    assert off.tolist() == [True] * 3 + [False] * 500
+    assert np.isnan(got.real[off]).all() and np.isnan(got.imag[off]).all()
+    assert np.isnan(want[off]).all() and not np.isnan(want[~off]).any()
+    np.testing.assert_allclose(got[~off], want[~off], rtol=1e-14)
 
 
 def test_faulted_loop_geometry():
@@ -190,11 +207,11 @@ def test_faulted_loop_geometry():
 
 def faulted_inline(z_vi, params, fraction):
     """The faulted loop by direct algebra: the reference over the path impedance
-    plus ``z_vi``, and each voltage the current times its impedance."""
+    plus ``z_vi``, the PCC voltage the current times that impedance, and the relay
+    reading the line stub up to the fault."""
     z_path = params.z_tr + fraction * params.z_l
     current = params.e_ref / (z_path + z_vi)
-    v_relay = current * (fraction * params.z_l)
-    return current, current * z_path, v_relay, v_relay / current
+    return current, current * z_path, fraction * params.z_l
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 1.0])
@@ -202,18 +219,18 @@ def test_faulted_loop_is_the_series_loop_with_a_zero_far_source(fraction):
     params = SystemParams()
     for z_vi in (0j, 0.05 + 0.6j, 0.3 + 0j, 1.2j):
         sol = solve_faulted(z_vi, params, fraction)
-        assert (sol.current, sol.v_pcc, sol.v_relay, sol.z_apparent) == faulted_inline(z_vi, params, fraction)
+        assert (sol.current, sol.v_pcc, sol.z_apparent) == faulted_inline(z_vi, params, fraction)
 
 
 def test_parameters_are_phasors_and_results_plain_complex():
     params = SystemParams()
     assert type(params.z_sigma) is Phasor
     assert math.degrees(params.z_sigma.ang) == pytest.approx(84.94, abs=5e-3)
-    fields = ("current", "v_pcc", "v_relay", "z_apparent")
+    fields = ("current", "v_pcc", "z_apparent")
     results = [getattr(solve_network(1.0, 0.1 + 0.2j, params), f) for f in fields]
     results += [getattr(solve_faulted(0.1 + 0.2j, params), f) for f in fields]
     results += [solve_network(0.0, 0j, params).z_apparent]  # NaN: no current
-    results += [getattr(electrical_power(1.0, 0.5, params, faulted=True)[1], f) for f in fields]
+    results += [getattr(electrical_power(1.0, 0.5, params, fault=0.5)[1], f) for f in fields]
     results += [s.z_app for s in full_cycle(Strategy.VARIABLE_VI, params, n_samples=9)]
     results += [z_unlimited(1.0, params), z_variable_vi(2.5, params), z_adaptive_vi(2.5, params)]
     results += [*swing_line(params), vi_drop(ViValue(0.1, 0.2), 1.0 + 2.0j)]

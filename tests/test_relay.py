@@ -149,14 +149,13 @@ def observe_both_ways(points, settings, dt=DT, t=None):
     and the event log must agree. ``t`` stamps the samples (default: their index).
     Returns the log."""
     z = np.array(points, dtype=complex)
-    zre, zim = z.real, z.imag
     t = np.arange(len(points), dtype=float) if t is None else t
     state, psb, ost = RelayState(), [], []
     for k in range(len(points)):
-        relay_step(state, complex(zre[k], zim[k]), float(t[k]), dt, settings)
+        relay_step(state, z[k].item(), float(t[k]), dt, settings)
         psb.append(state.psb_asserted)
         ost.append(state.ost_tripped)
-    got_psb, got_ost, log = _observe(zre, zim, t, dt, settings)
+    got_psb, got_ost, log = _observe(z, t, dt, settings)
     assert np.array_equal(got_psb, psb) and np.array_equal(got_ost, ost)
     assert typed(log) == typed(state.event_log)
     return log
@@ -500,8 +499,7 @@ def test_walk_at_crossings_matches_every_sample_on_random_walks(settings, min_be
     between = 0  # trips on a sample that is no crossing: only a pending trip reaches it
     for points in random_walks():
         log = observe_both_ways(points, settings, t=np.arange(len(points)) * DT)
-        z = np.array(points)
-        marks = set(crossings(z.real, z.imag, settings).tolist())
+        marks = set(crossings(np.array(points), settings).tolist())
         between += sum(round(t / DT) not in marks for t, event, _ in log if event == "trip")
     assert between >= min_between
 
@@ -536,13 +534,30 @@ def boundary_points(settings, rng, n):
     return out[:n]
 
 
-@pytest.mark.parametrize("settings", [RelaySettings(), RelaySettings().scaled(2 / 3)], ids=["reference", "caseD"])
+# the reference settings and the 2/3-scaled ones of caseD
+BOUNDARY_SETTINGS = pytest.mark.parametrize(
+    "settings", [RelaySettings(), RelaySettings().scaled(2 / 3)], ids=["reference", "caseD"]
+)
+
+
+@BOUNDARY_SETTINGS
+def test_mho_contains_rounds_as_complex_abs(settings):
+    # on the circles and an ulp or two off them: elementwise over an array and on each
+    # Python complex, the membership is the one abs() of a Python complex gives
+    points = boundary_points(settings, np.random.default_rng(11), 4000)
+    for zone in settings.zones:
+        center = 0.5 * complex(zone.reach)
+        want = [abs(z - center) <= abs(center) for z in points]
+        assert mho_contains(np.array(points), zone).tolist() == want
+        assert [bool(mho_contains(z, zone)) for z in points] == want
+
+
+@BOUNDARY_SETTINGS
 def test_crossings_match_scalar_membership(settings):
     # past two blocks, so the overlap at each block boundary is crossed too
     points = boundary_points(settings, np.random.default_rng(7), 2 * CROSSING_BLOCK + 500)
     inside = [membership(z, settings) for z in points]
     want = [0] + [k for k in range(1, len(points)) if inside[k] != inside[k - 1]]
-    z = np.array(points)
-    got = crossings(z.real, z.imag, settings)
+    got = crossings(np.array(points), settings)
     assert got.tolist() == want
     assert len(want) > len(points) // 4

@@ -48,6 +48,18 @@ def test_unlimited_pole_at_zero():
     assert abs(complex(z_unlimited(1e-6, params))) > 1e5
 
 
+@pytest.mark.parametrize("v_g_mag", [1.0, 0.5])
+def test_unlimited_loci_agree_where_no_current_flows(v_g_mag):
+    # the closed form and the loop's reading take one rule: NaN where the unlimited
+    # current is below ZERO_CURRENT_TOL, on both sides of the pole at 0 and at 2*pi
+    params = SystemParams(v_g_mag=v_g_mag, e_ref=Phasor(v_g_mag, 0.0))
+    eps = np.geomspace(1e-16, 1e-9, 167).tolist()
+    angles = [0.0, 2.0 * math.pi] + [a for x in eps for a in (x, -x, 2.0 * math.pi - x, 2.0 * math.pi + x)]
+    undefined = [math.isnan(z_unlimited(d, params).real) for d in angles]
+    assert undefined == [math.isnan(z_variable_vi(d, params).real) for d in angles]
+    assert 100 < sum(undefined) < len(angles) - 100
+
+
 def test_limited_current_angle_substitutions():
     phi = math.radians(84.94)
     assert limited_current_angle(math.pi, phi) == pytest.approx(-phi)
