@@ -15,13 +15,11 @@ from .dynamics import (
 from .errors import (
     DegenerateCircuit,
     GfmSwingError,
-    InsufficientHorizon,
     NoConvergence,
     ParseError,
     ValidationError,
 )
 from .limiter import (
-    AdaptiveState,
     LimiterConfig,
     Strategy,
     ViValue,

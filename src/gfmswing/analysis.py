@@ -8,7 +8,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InsufficientHorizon
 from .limiter import Strategy
 from .network import SystemParams, active_power
 from .dynamics import SimulationRecord, event_step
@@ -58,20 +57,18 @@ def p_delta_curve(
     return PDeltaCurve(delta=delta, p=p, vi_active=active)
 
 
-def classify_stability(record: SimulationRecord, min_post_event: float = 20.0) -> StabilityVerdict:
+def classify_stability(record: SimulationRecord, min_post_event: float = 20.0) -> StabilityVerdict | None:
     """Pole-slip classification of a simulation record.
 
     The swing is unstable when the unwrapped power angle wanders more than
-    a full cycle away from its pre-event equilibrium. Requires at least
-    ``min_post_event`` seconds of record from the start of the step that
-    applies the last event.
+    a full cycle away from its pre-event equilibrium. ``None`` for a record
+    without events, or with less than ``min_post_event`` seconds of record
+    from the start of the step that applies the last event.
     """
-    if record.events:
-        covered = (len(record) - event_step(record.events[-1].time, record.dt)) * record.dt
-        if covered < min_post_event:
-            raise InsufficientHorizon(
-                f"only {covered:.3f} s after the last event; need {min_post_event:.3f} s"
-            )
+    if not record.events:
+        return None
+    if (len(record) - event_step(record.events[-1].time, record.dt)) * record.dt < min_post_event:
+        return None
     excursion = float(np.max(np.abs(record.delta - record.delta[0])))
     slips = int(excursion // (2.0 * math.pi))
     verdict = Classification.UNSTABLE if slips >= 1 else Classification.STABLE

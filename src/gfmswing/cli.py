@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, cases, dynamics
-from .errors import GfmSwingError, InsufficientHorizon, ValidationError
+from .errors import GfmSwingError, ValidationError
 from .limiter import Strategy, critical_angle
 from .scenario import Scenario, _float, _shown, load_scenario, scenario_to_dict
 from .trajectory import Segment, _cycle_loci
@@ -90,18 +90,11 @@ def _finish(out: Path, scn: Scenario, label: str, files: dict, **summary) -> Non
     print(f"{label}: wrote {out / next(iter(files))}")
 
 
-_NO_VERDICT = {"verdict": None, "max_delta_excursion": None, "pole_slips": None}
-
-
 def _verdict(record) -> dict:
-    """Verdict fields of a summary; all ``None`` without events or with too little record after them."""
-    if not record.events:
-        return _NO_VERDICT
-    try:
-        verdict = analysis.classify_stability(record)
-    except InsufficientHorizon as exc:
-        print(f"no verdict: {exc}")
-        return _NO_VERDICT
+    """Verdict fields of a summary; all ``None`` where ``classify_stability`` gives no verdict."""
+    verdict = analysis.classify_stability(record)
+    if verdict is None:
+        return {"verdict": None, "max_delta_excursion": None, "pole_slips": None}
     return {
         "verdict": verdict.classification.value,
         "max_delta_excursion": verdict.max_delta_excursion,

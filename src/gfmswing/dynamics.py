@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .limiter import (
-    AdaptiveState,
     LimiterConfig,
     Strategy,
     ViValue,
@@ -147,12 +146,12 @@ def swing_derivatives(
     return d_omega, d_delta
 
 
-def _limiter_gain(cfg: LimiterConfig, adaptive: AdaptiveState, params: SystemParams) -> float:
-    """VI gain of the configured strategy; the adaptive one reads its PI state's drop."""
+def _limiter_gain(cfg: LimiterConfig, drop: float, params: SystemParams) -> float:
+    """VI gain of the configured strategy; the adaptive one reads the PI's voltage drop ``drop``."""
     if cfg.strategy is Strategy.VARIABLE_VI:
         return cfg.k_vi if cfg.k_vi is not None else variable_vi_gain(params)
     if cfg.strategy is Strategy.ADAPTIVE_VI:
-        return vi_gain_from_drop(adaptive.delta_v, params)
+        return vi_gain_from_drop(drop, params)
     return 0.0
 
 
@@ -179,12 +178,12 @@ def initial_state(system: SystemParams, apcl: ApclParams, cfg: LimiterConfig) ->
     """Equilibrium power angle, where the strategy-consistent power equals ``apcl.p0``.
 
     The frequency deviation starts at zero and the adaptive strategy's PI
-    state at rest. Scans the rising branch of the power curve and bisects
+    at rest, with no drop. Scans the rising branch of the power curve and bisects
     the bracketing interval. Raises ``ValidationError`` when the setpoint
     exceeds what the curve can deliver.
     """
     p0 = apcl.p0
-    gain = _limiter_gain(cfg, AdaptiveState(), system)
+    gain = _limiter_gain(cfg, 0.0, system)
 
     def p_of(d: float) -> float:
         return electrical_power(d, gain, system)[0]
@@ -258,8 +257,8 @@ def run_scenario(scenario) -> SimulationRecord:
     delta = initial_state(system, apcl, cfg)
     omega, p0 = 0.0, apcl.p0
     fault, next_event = None, 0  # the fraction along the line of the fault in force
-    adaptive = AdaptiveState()
-    gain = _limiter_gain(cfg, adaptive, system)
+    integrator = drop = 0.0  # the adaptive PI at rest
+    gain = _limiter_gain(cfg, drop, system)
     k_vi, solved_at, solved = gain * vi_norm, math.nan, None
 
     def evaluate(d: float) -> tuple[float, float, float]:
@@ -320,8 +319,8 @@ def run_scenario(scenario) -> SimulationRecord:
             p_e, i_mag, r_vi = stage(delta)
             d_out[k], w_out[k], i_out[k], p_out[k], r_out[k] = delta, omega, i_mag, p_e, r_vi
             if adaptive_pi:  # the gain is a function of the PI's drop alone
-                drop, adaptive = adaptive.delta_v, adaptive_vi_step(adaptive, i_mag, dt, cfg, system.i_max)
-                if adaptive.delta_v != drop and (moved := _limiter_gain(cfg, adaptive, system)) != gain:
+                last, (integrator, drop) = drop, adaptive_vi_step(integrator, i_mag, dt, cfg, system.i_max)
+                if drop != last and (moved := _limiter_gain(cfg, drop, system)) != gain:
                     gain, k_vi, solved_at = moved, moved * vi_norm, math.nan
                     if fault is not None and k + 1 < hi:
                         stage = fault_span(delta, k + 1, hi)

@@ -13,10 +13,6 @@ class NoConvergence(GfmSwingError):
     """An iterative solve exhausted its budget without meeting tolerance."""
 
 
-class InsufficientHorizon(GfmSwingError):
-    """Record does not cover enough post-event time to classify stability."""
-
-
 class ParseError(GfmSwingError):
     """Scenario file is not valid JSON or is structurally unreadable."""
 

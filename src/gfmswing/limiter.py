@@ -69,14 +69,6 @@ class ViValue:
         return self.r_vi != 0.0 or self.x_vi != 0.0
 
 
-@dataclass(frozen=True)
-class AdaptiveState:
-    """Integrator and clamped output of the adaptive PI loop."""
-
-    integrator: float = 0.0
-    delta_v: float = 0.0
-
-
 def vi_gain_from_drop(delta_v: float, params: SystemParams) -> float:
     """Proportional gain that produces a given voltage drop magnitude.
 
@@ -131,7 +123,8 @@ def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: floa
     ``m`` and the limited root is unique. A safeguarded Newton iteration
     (rtsafe, Numerical Recipes 9.4) starts at the right end of the bracket,
     where the convex residual makes it descend monotonically, and falls back
-    to bisection whenever a step would leave the bracket. ``run_scenario``
+    to bisection whenever a step would leave the bracket. Without ``z_ext``
+    the loop is the VI alone, whose root is a quadratic's. ``run_scenario``
     takes it for the faulted loop and for an explicit ``alpha_vi``. No drive gives no
     current, and the NaN drive of a diverging swing a NaN one.
     """
@@ -142,18 +135,13 @@ def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: floa
         if z_ext_mag < 1e-12:
             raise DegenerateCircuit("no external impedance and no virtual impedance")
         return e_mag / z_ext_mag
-    if z_ext_mag > 0.0 and e_mag / z_ext_mag <= i_th:
+    if z_ext_mag == 0.0:  # the VI alone: k*m*(m - i_th) = e_mag with k = gain*hypot(1, alpha)
+        return 0.5 * (i_th + math.sqrt(i_th * i_th + 4.0 * e_mag / (gain * math.hypot(1.0, alpha_vi))))
+    if e_mag / z_ext_mag <= i_th:
         return e_mag / z_ext_mag
 
     r_ext, x_ext = z_ext.real, z_ext.imag
-    lo = i_th
-    if z_ext_mag > 0.0:
-        hi = e_mag / z_ext_mag
-    else:
-        hi = i_th + 1.0
-        while hi * gain * (hi - i_th) * math.hypot(1.0, alpha_vi) < e_mag:
-            hi *= 2.0
-
+    lo, hi = i_th, e_mag / z_ext_mag
     m = hi
     for _ in range(MAX_SOLVE_ITER):
         dv = gain * (m - i_th)
@@ -191,17 +179,14 @@ def _loop_magnitude(e_mag: float, z_mag: float, k: float, i_th: float) -> float:
 def solve_variable_vi_current(
     delta: float,
     params: SystemParams,
-    gain: float | None = None,
+    gain: float,
 ) -> tuple[float, ViValue, NetworkSolution]:
-    """Self-consistent current of the healthy loop at power angle ``delta``.
+    """Self-consistent current of the healthy loop at power angle ``delta`` under a VI of ``gain``.
 
     Returns the solved magnitude, the virtual impedance it implies, and the
-    full network solution computed with that impedance. ``gain`` defaults to
-    the designed gain of the variable strategy; with a zero gain, or below
-    the activation threshold, this reduces to the plain unlimited solve.
+    full network solution computed with that impedance. With a zero gain, or
+    below the activation threshold, this reduces to the plain unlimited solve.
     """
-    if gain is None:
-        gain = variable_vi_gain(params)
     drive = params.e_ref - params.v_g_mag * cmath.exp(-1j * delta)
     mag, vi = solve_limited_current(drive, params.z_sigma, gain, params.vi_ratio, params.i_th)
     sol = solve_network(delta, vi.as_complex, params)
@@ -209,31 +194,28 @@ def solve_variable_vi_current(
 
 
 def adaptive_vi_step(
-    state: AdaptiveState,
+    integrator: float,
     mag: float,
     dt: float,
     cfg: LimiterConfig,
     i_max: float,
-) -> AdaptiveState:
-    """One discrete update of the PI loop producing the VI voltage drop.
+) -> tuple[float, float]:
+    """One discrete update of the PI loop: the new integrator and the VI voltage drop.
 
-    Clamping anti-windup: the integrator freezes whenever the output is
-    saturated (at zero or at ``delta_v_max``) and the error would push it
-    further into saturation. The output is therefore zero until the current
-    magnitude exceeds ``i_max``.
+    The PI at rest has a zero integrator. Clamping anti-windup: the
+    integrator freezes whenever the output is saturated (at zero or at
+    ``delta_v_max``) and the error would push it further into saturation.
+    The output is therefore zero until the current magnitude exceeds ``i_max``.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     error = mag - i_max
-    unclamped = cfg.kp * error + state.integrator
+    unclamped = cfg.kp * error + integrator
     deepening_high = unclamped >= cfg.delta_v_max and error > 0.0
     deepening_low = unclamped <= 0.0 and error < 0.0
-    if deepening_high or deepening_low:
-        integrator = state.integrator
-    else:
-        integrator = state.integrator + cfg.ki * error * dt
-    delta_v = min(max(cfg.kp * error + integrator, 0.0), cfg.delta_v_max)
-    return AdaptiveState(integrator=integrator, delta_v=delta_v)
+    if not (deepening_high or deepening_low):
+        integrator += cfg.ki * error * dt
+    return integrator, min(max(cfg.kp * error + integrator, 0.0), cfg.delta_v_max)
 
 
 def critical_angle(params: SystemParams, i_level: float) -> float | None:

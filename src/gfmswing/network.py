@@ -166,7 +166,7 @@ def relay_impedance(v_far: np.ndarray, current: np.ndarray, z_relay: complex) ->
     return np.where(np.abs(current) < ZERO_CURRENT_TOL, complex(math.nan, math.nan), z)
 
 
-def solve_faulted(z_vi: complex, params: SystemParams, fraction: float = 0.5) -> NetworkSolution:
+def solve_faulted(z_vi: complex, params: SystemParams, fraction: float) -> NetworkSolution:
     """Solve the relay-side loop during a bolted three-phase fault on the line.
 
     The fault sits ``fraction`` of the way from the relay bus to the grid;

@@ -41,12 +41,13 @@ class Mutant:
     killers: tuple[str, ...]  # pytest node ids
 
 
-LIM, TRJ, DYN, REL, NET = (
-    f"src/gfmswing/{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay", "network")
+LIM, TRJ, DYN, REL, NET, ANA = (
+    f"src/gfmswing/{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay", "network", "analysis")
 )
 SCN, CLI = "src/gfmswing/scenario.py", "src/gfmswing/cli.py"
-T_LIM, T_TRJ, T_DYN, T_REL, T_CLI, T_NET = (
-    f"tests/test_{m}.py" for m in ("limiter", "trajectory", "dynamics", "relay", "scenario_cli", "network")
+T_LIM, T_TRJ, T_DYN, T_REL, T_CLI, T_NET, T_ANA = (
+    f"tests/test_{m}.py"
+    for m in ("limiter", "trajectory", "dynamics", "relay", "scenario_cli", "network", "analysis")
 )
 
 MUTANTS = (
@@ -192,6 +193,105 @@ MUTANTS = (
         "gain, k_vi, solved_at = moved, moved * vi_norm, math.nan",
         "gain, k_vi = moved, moved * vi_norm",
         (f"{T_DYN}::test_kernel_limited_solve_count",),
+    ),
+    # plain values across the seams
+    Mutant(
+        "classify_stability gives a verdict on a record that ends exactly min_post_event after its event",
+        ANA,
+        "* record.dt < min_post_event:",
+        "* record.dt <= min_post_event:",
+        (f"{T_ANA}::test_classify_counts_post_event_record_in_steps",),
+    ),
+    Mutant(
+        "classify_stability drops its no-event return",
+        ANA,
+        "    if not record.events:\n        return None\n",
+        "",
+        (f"{T_ANA}::test_classify_flat_record_stable",),
+    ),
+    Mutant(
+        "the kernel passes the PI's previous drop to _limiter_gain",
+        DYN,
+        "(moved := _limiter_gain(cfg, drop, system)) != gain",
+        "(moved := _limiter_gain(cfg, last, system)) != gain",
+        (f"{T_DYN}::test_kernel_samples_match_electrical_power[caseD]",),
+    ),
+    Mutant(
+        "the adaptive PI drops its anti-windup",
+        LIM,
+        "    if not (deepening_high or deepening_low):\n",
+        "    if True:\n",
+        (
+            f"{T_LIM}::test_adaptive_step_inactive_below_ceiling",
+            f"{T_LIM}::test_adaptive_step_output_clamped_and_windup_bounded",
+        ),
+    ),
+    Mutant(
+        "the loop without an external impedance takes the other root of its quadratic",
+        LIM,
+        "return 0.5 * (i_th + math.sqrt(",
+        "return 0.5 * (i_th - math.sqrt(",
+        (
+            f"{T_LIM}::test_limited_root_without_external_impedance_is_the_quadratic_root",
+            f"{T_LIM}::test_bolted_terminal_design_current",
+        ),
+    ),
+    # restated from earlier scratch mutants
+    Mutant(
+        "_limited_magnitude sends a zero gain past its unlimited branch",
+        LIM,
+        "    if gain <= 0.0:\n        if z_ext_mag < 1e-12:",
+        "    if gain < 0.0:\n        if z_ext_mag < 1e-12:",
+        (f"{T_LIM}::test_unlimited_solve_without_any_impedance_is_degenerate",),
+    ),
+    Mutant(
+        "rtsafe's converged exit returns the low end of the bracket",
+        LIM,
+        "        if abs(step) < SOLVE_TOL:\n            return m\n",
+        "        if abs(step) < SOLVE_TOL:\n            return lo\n",
+        (f"{T_LIM}::test_solve_consistent_over_active_range",),
+    ),
+    Mutant(
+        "PSB deassert keeps the episode's OST latch",
+        REL,
+        "state.psb_asserted = state.ost_this_episode = False",
+        "state.psb_asserted = False",
+        (f"{T_REL}::test_relay_matches_reference_on_random_walks[reference]",),
+    ),
+    Mutant(
+        "a PI gain move inside a fault keeps the faulted span's solve",
+        DYN,
+        "                    if fault is not None and k + 1 < hi:\n                        stage = fault_span(delta, k + 1, hi)\n",
+        "",
+        (f"{T_DYN}::test_kernel_samples_match_electrical_power[caseD]",),
+    ),
+    Mutant(
+        "a crossing block without its one-sample overlap",
+        REL,
+        "z = zapp[start - 1 : start + CROSSING_BLOCK]",
+        "z = zapp[start : start + CROSSING_BLOCK]",
+        (f"{T_REL}::test_crossings_match_scalar_membership[reference]",),
+    ),
+    Mutant(
+        "a crossing block one sample short",
+        REL,
+        "z = zapp[start - 1 : start + CROSSING_BLOCK]",
+        "z = zapp[start - 1 : start + CROSSING_BLOCK - 1]",
+        (f"{T_REL}::test_crossings_match_scalar_membership[reference]",),
+    ),
+    Mutant(
+        "the impedance pass overwrites the faulted impedance",
+        DYN,
+        "zapp[block] = np.where(fault_at[block], zapp[block], relay_impedance(v_far, current, z_relay))",
+        "zapp[block] = relay_impedance(v_far, current, z_relay)",
+        (f"{T_DYN}::test_valueless_fault_sits_mid_line",),
+    ),
+    Mutant(
+        "the stage scales x_sigma by 1 + 1e-11",
+        DYN,
+        "rt, xt = r_sigma + r_vi, x_sigma + alpha * r_vi",
+        "rt, xt = r_sigma + r_vi, x_sigma * (1.0 + 1e-11) + alpha * r_vi",
+        (f"{T_DYN}::test_kernel_samples_match_electrical_power[caseA1]",),
     ),
     # the writer
     Mutant(

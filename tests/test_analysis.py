@@ -9,7 +9,8 @@ import pytest
 from gfmswing import (
     ApclParams,
     Classification,
-    InsufficientHorizon,
+    Event,
+    EventKind,
     LimiterConfig,
     Strategy,
     SystemParams,
@@ -86,7 +87,10 @@ def test_classify_flat_record_stable():
         horizon=1.0,
         relay=None,
     )
-    verdict = classify_stability(run_scenario(scn))
+    assert classify_stability(run_scenario(scn)) is None  # no event, nothing to classify
+    # a zero setpoint step leaves the record flat and gives it an event to classify after
+    flat = run_scenario(replace(scn, events=(Event(0.1, EventKind.POWER_STEP, 0.0),)))
+    verdict = classify_stability(flat, min_post_event=0.5)
     assert verdict.classification is Classification.STABLE
     assert verdict.max_delta_excursion < 1e-9
     assert verdict.pole_slips == 0
@@ -112,8 +116,7 @@ def test_classify_case_e1_variable_unstable(record_e1_variable):
 
 def test_classify_requires_post_event_horizon():
     scn = replace(build_case("caseA1"), horizon=10.0)  # event at 8 s: only 2 s after
-    with pytest.raises(InsufficientHorizon):
-        classify_stability(run_scenario(scn))
+    assert classify_stability(run_scenario(scn)) is None
 
 
 def test_classify_counts_post_event_record_in_steps():

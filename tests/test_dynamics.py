@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from gfmswing import (
-    AdaptiveState,
     ApclParams,
     Event,
     EventKind,
@@ -97,7 +96,7 @@ def test_electrical_power_zero_angle():
 def test_electrical_power_variable_matches_solver():
     params = SystemParams()
     p, sol, vi = electrical_power(math.pi / 2, variable_vi_gain(params), params)
-    mag, vi2, sol2 = solve_variable_vi_current(math.pi / 2, params)
+    mag, vi2, sol2 = solve_variable_vi_current(math.pi / 2, params, variable_vi_gain(params))
     assert vi == vi2
     assert p == pytest.approx(
         (complex(sol2.v_pcc) * complex(sol2.current).conjugate()).real, abs=1e-10
@@ -380,7 +379,7 @@ def reference_initial_state(system, apcl, cfg):
     p0 = apcl.p0
     if p0 <= 0.0:
         raise ValidationError("initial power setpoint must be positive")
-    gain = _limiter_gain(cfg, AdaptiveState(), system)
+    gain = _limiter_gain(cfg, 0.0, system)
 
     def p_of(d: float) -> float:
         return electrical_power(d, gain, system)[0]
@@ -424,14 +423,14 @@ def reference_run(scenario) -> SimulationRecord:
     delta = reference_initial_state(system, apcl, cfg)
     omega, t, p0 = 0.0, 0.0, apcl.p0
     fault, next_event = None, 0
-    adaptive = AdaptiveState()
+    integrator = drop = 0.0
 
     def rates(d: float, w: float) -> tuple[float, float]:
         p_e = electrical_power(d, gain, system, fault)[0]
         return swing_derivatives(w, p0, p_e, apcl)
 
     for k in range(n):
-        gain = _limiter_gain(cfg, adaptive, system)
+        gain = _limiter_gain(cfg, drop, system)
         if k:
             while next_event < len(events) and events[next_event].time <= t + 0.5 * dt:
                 ev = events[next_event]
@@ -465,7 +464,7 @@ def reference_run(scenario) -> SimulationRecord:
         vir_arr[k] = vi.r_vi
         vix_arr[k] = vi.x_vi
         if k and adaptive_pi:
-            adaptive = adaptive_vi_step(adaptive, abs(sol.current), dt, cfg, system.i_max)
+            integrator, drop = adaptive_vi_step(integrator, abs(sol.current), dt, cfg, system.i_max)
 
     relay_events = ()
     if scenario.relay is not None:
@@ -626,9 +625,9 @@ def test_kernel_samples_match_electrical_power(name):
     system, cfg = scn.system, scn.limiter
     rec = run_scenario(scn)
     frac = fault_spans(scn, len(rec))
-    adaptive = AdaptiveState()
+    integrator = drop = 0.0
     for k, d in enumerate(rec.delta.tolist()):
-        gain = _limiter_gain(cfg, adaptive, system)
+        gain = _limiter_gain(cfg, drop, system)
         p_e, sol, vi = electrical_power(d, gain, system, None if math.isnan(frac[k]) else float(frac[k]))
         z = sol.z_apparent
         want = (p_e, abs(sol.current), z.real, z.imag, vi.r_vi, vi.x_vi)
@@ -639,7 +638,7 @@ def test_kernel_samples_match_electrical_power(name):
             else:
                 assert abs(a - b) <= SAMPLE_TOL * max(1.0, abs(b)), (field, k, a, b)
         if k and cfg.strategy is Strategy.ADAPTIVE_VI:
-            adaptive = adaptive_vi_step(adaptive, got[1], scn.dt, cfg, system.i_max)
+            integrator, drop = adaptive_vi_step(integrator, got[1], scn.dt, cfg, system.i_max)
 
 
 QUOTIENT_TOL = 1e-15  # relative to max(1, |z|): numpy's two complex quotients against CPython's (6.2e-16 seen)
@@ -761,11 +760,12 @@ def test_kernel_limited_solve_count(monkeypatch):
         setup, calls["rtsafe"] = calls["rtsafe"], 0
         rec = run_scenario(scn)
         kinds = [{ev.kind for ev in scn.events if event_step(ev.time, scn.dt) == k} for k in range(len(rec))]
-        gains, adaptive = [], AdaptiveState()  # the gain of each step, replayed from the recorded currents
+        gains, integrator, drop = [], 0.0, 0.0  # the gain of each step, replayed from the recorded currents
         for k in range(len(rec)):
-            gains.append(_limiter_gain(scn.limiter, adaptive, scn.system))
+            gains.append(_limiter_gain(scn.limiter, drop, scn.system))
             if k and scn.limiter.strategy is Strategy.ADAPTIVE_VI:
-                adaptive = adaptive_vi_step(adaptive, rec.i_mag[k].item(), scn.dt, scn.limiter, scn.system.i_max)
+                i_mag = rec.i_mag[k].item()
+                integrator, drop = adaptive_vi_step(integrator, i_mag, scn.dt, scn.limiter, scn.system.i_max)
         closed, faulted, started, moved = 1, 0, False, False
         fault_solves = 0
         for k in range(1, len(rec)):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gfmswing import (
-    AdaptiveState,
+    DegenerateCircuit,
     LimiterConfig,
     NoConvergence,
     Strategy,
@@ -116,19 +116,19 @@ def test_vi_drop_magnitude_identity():
 
 def test_solve_continuous_at_activation_boundary():
     params = SystemParams()
-    delta_th = critical_angle(params, params.i_th)
-    m_lo, vi_lo, _ = solve_variable_vi_current(delta_th - 1e-9, params)
-    m_hi, vi_hi, _ = solve_variable_vi_current(delta_th + 1e-9, params)
+    delta_th, gain = critical_angle(params, params.i_th), variable_vi_gain(params)
+    m_lo, vi_lo, _ = solve_variable_vi_current(delta_th - 1e-9, params, gain)
+    m_hi, vi_hi, _ = solve_variable_vi_current(delta_th + 1e-9, params, gain)
     assert vi_lo == ViValue(0.0, 0.0)
     assert abs(m_hi - m_lo) < 1e-6
-    m_at, vi_at, _ = solve_variable_vi_current(delta_th, params)
+    m_at, vi_at, _ = solve_variable_vi_current(delta_th, params, gain)
     assert m_at == pytest.approx(params.i_th, abs=1e-9)
     assert vi_at == ViValue(0.0, 0.0)
 
 
 def test_solve_zero_drive():
     params = SystemParams()
-    mag, vi, sol = solve_variable_vi_current(0.0, params)
+    mag, vi, sol = solve_variable_vi_current(0.0, params, variable_vi_gain(params))
     assert mag == pytest.approx(0.0, abs=1e-12)
     assert vi == ViValue(0.0, 0.0)
     assert math.isnan(sol.z_apparent.real) and math.isnan(sol.z_apparent.imag)
@@ -148,7 +148,7 @@ def test_solve_at_pi_matches_bisection_oracle():
     gain = variable_vi_gain(params)
     alpha = params.vi_ratio
     oracle = bisect_current(math.pi, params, gain, alpha)
-    mag, vi, sol = solve_variable_vi_current(math.pi, params)
+    mag, vi, sol = solve_variable_vi_current(math.pi, params, gain)
     assert mag == pytest.approx(oracle, abs=1e-8)
     assert mag == pytest.approx(1.15961974, abs=1e-6)  # frozen from the oracle
     assert abs(sol.current) == pytest.approx(mag, abs=1e-9)
@@ -241,45 +241,73 @@ def test_bolted_terminal_design_current():
     assert mag == pytest.approx(params.i_max, abs=1e-6)
 
 
+@pytest.mark.parametrize("drive", [1.0, 100.0, 1e4])
+def test_limited_root_without_external_impedance_is_the_quadratic_root(drive):
+    # the VI alone: k*m*(m - i_th) = |drive|; drives 100 and 1e4 put the root past i_th + 1
+    params = SystemParams()
+    gain, alpha, i_th = variable_vi_gain(params), params.vi_ratio, params.i_th
+    mag, vi = solve_limited_current(complex(drive), 0j, gain, alpha, i_th)
+    want = collinear_root(complex(drive), 0j, gain, alpha, i_th)
+    assert abs(mag - want) <= 1e-12 * want
+    assert vi == vi_from_current(mag, gain, alpha, i_th)
+
+
+def test_unlimited_solve_without_any_impedance_is_degenerate():
+    with pytest.raises(DegenerateCircuit, match="no external impedance and no virtual impedance"):
+        solve_limited_current(1.0 + 0j, 0j, 0.0, 11.0, 1.0)
+
+
+def test_limited_root_through_the_bisection_fallback():
+    # a near-bolted loop whose root lies within an ulp of i_th: Newton steps leave the
+    # bracket, so rtsafe bisects
+    drive, z_ext = 6.301347561627593 + 0j, 1.8019652781597597e-05 + 3.782912063477796e-06j
+    gain, alpha, i_th = 13537.704900126064, 197.13692602485966, 337971.2093308629
+    mag, _ = solve_limited_current(drive, z_ext, gain, alpha, i_th)
+    assert mag == pytest.approx(bisect_limited(drive, z_ext, gain, alpha, i_th), rel=1e-12)
+
+
 def test_adaptive_step_inactive_below_ceiling():
     cfg = LimiterConfig(strategy=Strategy.ADAPTIVE_VI)
-    st = adaptive_vi_step(AdaptiveState(), 1.1, 5e-4, cfg, i_max=1.2)
-    assert st.delta_v == 0.0
-    assert st.integrator == 0.0
+    assert adaptive_vi_step(0.0, 1.1, 5e-4, cfg, i_max=1.2) == (0.0, 0.0)
+
+
+def test_adaptive_step_rejects_a_non_positive_step():
+    cfg = LimiterConfig(strategy=Strategy.ADAPTIVE_VI)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        adaptive_vi_step(0.0, 1.5, 0.0, cfg, i_max=1.2)
 
 
 def test_adaptive_step_monotone_rise_on_overcurrent():
     cfg = LimiterConfig(strategy=Strategy.ADAPTIVE_VI)
-    st = AdaptiveState()
-    previous = 0.0
+    integrator = previous = 0.0
     for _ in range(200):
-        st = adaptive_vi_step(st, 1.5, 5e-4, cfg, i_max=1.2)
-        assert st.delta_v >= previous
-        previous = st.delta_v
-    assert st.delta_v > 0.0
+        integrator, drop = adaptive_vi_step(integrator, 1.5, 5e-4, cfg, i_max=1.2)
+        assert drop >= previous
+        previous = drop
+    assert drop > 0.0
 
 
 def test_adaptive_step_output_clamped_and_windup_bounded():
     cfg = LimiterConfig(strategy=Strategy.ADAPTIVE_VI, kp=0.5, ki=600.0, delta_v_max=2.0)
-    st = AdaptiveState()
+    integrator = 0.0
     for _ in range(5000):
-        st = adaptive_vi_step(st, 3.0, 5e-4, cfg, i_max=1.2)
-    assert st.delta_v == cfg.delta_v_max
+        integrator, drop = adaptive_vi_step(integrator, 3.0, 5e-4, cfg, i_max=1.2)
+    assert drop == cfg.delta_v_max
     # the integrator freezes within one increment of the saturation point
-    assert st.integrator <= cfg.delta_v_max + cfg.ki * 1.8 * 5e-4 + 1e-12
+    assert integrator <= cfg.delta_v_max + cfg.ki * 1.8 * 5e-4 + 1e-12
     # recovery once the error reverses sign: the loop unwinds promptly
     for _ in range(5000):
-        st = adaptive_vi_step(st, 0.5, 5e-4, cfg, i_max=1.2)
-    assert st.delta_v == 0.0
+        integrator, drop = adaptive_vi_step(integrator, 0.5, 5e-4, cfg, i_max=1.2)
+    assert drop == 0.0
 
 
 def test_adaptive_state_invariant_random_sequences():
     cfg = LimiterConfig(strategy=Strategy.ADAPTIVE_VI)
     rng = np.random.default_rng(41)
-    st = AdaptiveState()
+    integrator = 0.0
     for mag in rng.uniform(0.0, 3.0, size=2000):
-        st = adaptive_vi_step(st, float(mag), 5e-4, cfg, i_max=1.2)
-        assert 0.0 <= st.delta_v <= cfg.delta_v_max
+        integrator, drop = adaptive_vi_step(integrator, float(mag), 5e-4, cfg, i_max=1.2)
+        assert 0.0 <= drop <= cfg.delta_v_max
 
 
 def test_adaptive_closed_loop_converges_to_ceiling():
@@ -288,11 +316,11 @@ def test_adaptive_closed_loop_converges_to_ceiling():
     params = SystemParams()
     cfg = LimiterConfig(strategy=Strategy.ADAPTIVE_VI)
     for delta in (1.6, 2.4, math.pi, 4.0):
-        st = AdaptiveState()
+        integrator = drop = 0.0
         for _ in range(3000):
-            _, sol, _ = electrical_power(delta, vi_gain_from_drop(st.delta_v, params), params)
-            st = adaptive_vi_step(st, abs(sol.current), 5e-4, cfg, params.i_max)
-        _, sol, _ = electrical_power(delta, vi_gain_from_drop(st.delta_v, params), params)
+            _, sol, _ = electrical_power(delta, vi_gain_from_drop(drop, params), params)
+            integrator, drop = adaptive_vi_step(integrator, abs(sol.current), 5e-4, cfg, params.i_max)
+        _, sol, _ = electrical_power(delta, vi_gain_from_drop(drop, params), params)
         assert abs(sol.current) == pytest.approx(params.i_max, abs=1e-6)
 
 

@@ -228,7 +228,7 @@ def test_parameters_are_phasors_and_results_plain_complex():
     assert math.degrees(params.z_sigma.ang) == pytest.approx(84.94, abs=5e-3)
     fields = ("current", "v_pcc", "z_apparent")
     results = [getattr(solve_network(1.0, 0.1 + 0.2j, params), f) for f in fields]
-    results += [getattr(solve_faulted(0.1 + 0.2j, params), f) for f in fields]
+    results += [getattr(solve_faulted(0.1 + 0.2j, params, 0.5), f) for f in fields]
     results += [solve_network(0.0, 0j, params).z_apparent]  # NaN: no current
     results += [getattr(electrical_power(1.0, 0.5, params, fault=0.5)[1], f) for f in fields]
     results += [s.z_app for s in full_cycle(Strategy.VARIABLE_VI, params, n_samples=9)]

@@ -425,6 +425,12 @@ BAD_SCENARIOS = {
     "huge-sources": '{"horizon": 1.0, "system": {"e_ref": [1e200, 0], "v_g_mag": 1e200}}',
     "tiny-sources": '{"horizon": 1.0, "system": {"e_ref": [1e-200, 0], "v_g_mag": 1e-200}}',
     "tiny-currents": '{"horizon": 1.0, "system": {"i_th": 1e-200, "i_max": 2e-200}}',
+    "second-fault-apply": '{"horizon": 1.0, "events": [{"time": 0.2, "kind": "fault_apply"}, '
+    '{"time": 0.4, "kind": "fault_apply"}]}',
+    "valueless-power_step": '{"horizon": 1.0, "events": [{"time": 0.5, "kind": "power_step"}]}',
+    "zones-object": '{"horizon": 1.0, "relay": {"zones": {"reach": [0.05, 0.48]}}}',
+    "list-root": '[{"horizon": 1.0}]',
+    "zero-delta_v_max": '{"horizon": 1.0, "limiter": {"delta_v_max": 0}}',
 }
 
 
@@ -503,6 +509,8 @@ BAD_FLAGS = {
     "huge-samples-trajectory": ["trajectory", "--case", "caseA1", "--samples", "1000000000000"],
     "huge-samples-pdelta": ["pdelta", "--case", "caseA1", "--samples", "1000000000000"],
     "stiff-dp-sweep": ["sweep", "--case", "caseC1", "--dp", "0.05,1e-5"],
+    "no-scenario-or-case": ["simulate"],
+    "zero-h-sweep": ["sweep", "--case", "caseC1", "--h", "0"],
 }
 
 

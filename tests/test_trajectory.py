@@ -19,6 +19,7 @@ from gfmswing import (
     p_delta_curve,
     solve_network,
     solve_variable_vi_current,
+    variable_vi_gain,
     z_adaptive_vi,
     z_unlimited,
     z_variable_vi,
@@ -90,7 +91,7 @@ def test_variable_matches_unlimited_at_boundary():
 
 def test_variable_at_pi_matches_current_oracle():
     params = SystemParams()
-    mag, _, sol = solve_variable_vi_current(math.pi, params)
+    mag, _, sol = solve_variable_vi_current(math.pi, params, variable_vi_gain(params))
     v_far = params.v_g_mag * cmath.exp(-1j * math.pi)
     expected = complex(params.z_relay_to_grid) + v_far / complex(sol.current)
     assert abs(complex(z_variable_vi(math.pi, params)) - expected) < 1e-12
@@ -104,8 +105,8 @@ def test_variable_mirror_symmetry():
     delta_th = critical_angle(params, params.i_th)
     anchor = complex(params.z_relay_to_grid)
     for delta in (delta_th + 0.3, math.pi - 0.4):
-        mag_a, vi_a, _ = solve_variable_vi_current(delta, params)
-        mag_b, _, _ = solve_variable_vi_current(2 * math.pi - delta, params)
+        mag_a, vi_a, _ = solve_variable_vi_current(delta, params, variable_vi_gain(params))
+        mag_b, _, _ = solve_variable_vi_current(2 * math.pi - delta, params, variable_vi_gain(params))
         assert mag_b == pytest.approx(mag_a, abs=1e-9)
         w_a = complex(z_variable_vi(delta, params)) - anchor
         w_b = complex(z_variable_vi(2 * math.pi - delta, params)) - anchor
@@ -250,7 +251,7 @@ def test_loci_follow_the_loop_off_the_default_system(params):
                 ref = complex(solve_network(s.delta, 0.0, params).z_apparent)
                 assert abs(z - ref) <= 1e-9 * max(1.0, abs(ref))
             elif s.segment is Segment.ACTIVE_VARIABLE:
-                ref = complex(solve_variable_vi_current(s.delta, params)[2].z_apparent)
+                ref = complex(solve_variable_vi_current(s.delta, params, variable_vi_gain(params))[2].z_apparent)
                 assert abs(z - ref) <= 1e-12 * max(1.0, abs(ref))
             else:
                 current = params.v_g_mag * cmath.exp(-1j * s.delta) / (z - z_rg)
