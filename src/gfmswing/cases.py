@@ -56,20 +56,18 @@ _CASES = {
 CASE_IDS = tuple(_CASES)
 
 
-def build_case(case_id: str, strategy: Strategy | None = None) -> Scenario:
-    """Instantiate a library case, optionally overriding its limiting strategy;
-    an override that differs from the case's own renames it ``<id>-<strategy>``."""
+def build_case(case_id: str) -> Scenario:
+    """Instantiate a library case."""
     try:
-        own, apcl, events, horizon, *grid = _CASES[case_id]
+        strategy, apcl, events, horizon, *grid = _CASES[case_id]
     except KeyError:
         raise KeyError(f"unknown case id {case_id!r}; available: {', '.join(CASE_IDS)}") from None
     system, relay = grid or (SystemParams(), RelaySettings())
-    name = case_id if strategy in (None, own) else f"{case_id}-{strategy.value}"
     return Scenario(
-        name=name,
+        name=case_id,
         system=system,
         apcl=apcl,
-        limiter=LimiterConfig(strategy=strategy or own),
+        limiter=LimiterConfig(strategy=strategy),
         events=events,
         horizon=horizon,
         relay=relay,

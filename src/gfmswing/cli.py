@@ -28,14 +28,18 @@ CSV_CHUNK_ROWS = 4096  # rows converted to Python values at a time; whole column
 
 
 def _load(args) -> Scenario:
-    """The scenario of ``--scenario`` or ``--case`` under the ``--strategy`` override."""
-    strategy = Strategy(args.strategy) if args.strategy else None
+    """The scenario of ``--scenario`` or ``--case``; a ``--strategy`` other than its own
+    replaces its strategy and renames the run ``<name>-<strategy>``."""
     if args.scenario is not None:
         scn = load_scenario(args.scenario)
-        return replace(scn, limiter=replace(scn.limiter, strategy=strategy)) if strategy else scn
-    if args.case is not None:
-        return cases.build_case(args.case, strategy)
-    raise GfmSwingError("one of --scenario or --case is required")
+    elif args.case is not None:
+        scn = cases.build_case(args.case)
+    else:
+        raise GfmSwingError("one of --scenario or --case is required")
+    if args.strategy in (None, scn.limiter.strategy.value):
+        return scn
+    limiter = replace(scn.limiter, strategy=Strategy(args.strategy))
+    return replace(scn, name=f"{scn.name}-{args.strategy}", limiter=limiter)
 
 
 def _samples(args) -> int:
@@ -45,7 +49,7 @@ def _samples(args) -> int:
 
 
 def _out_dir(args, scn: Scenario) -> Path:
-    path = Path(args.out or scn.outputs or f"out/{scn.name}")
+    path = Path(args.out or f"out/{scn.name}")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a file in the way, a bad name, no permission
@@ -75,17 +79,14 @@ def _write_csv(path: Path, columns: dict) -> None:
             fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
-def _boundary_angles(scn: Scenario) -> dict:
-    system = scn.system
-    return {"delta_th": critical_angle(system, system.i_th), "delta_lim": critical_angle(system, system.i_max)}
-
-
 def _finish(out: Path, scn: Scenario, label: str, files: dict, **summary) -> None:
     """Write each ``file name -> columns`` CSV file, then ``summary.json`` with the
     scenario, its boundary angles and ``summary``, and report the first file."""
     for name, columns in files.items():
         _write_csv(out / name, columns)
-    payload = {"scenario": scenario_to_dict(scn), "boundaries": _boundary_angles(scn), **summary}
+    levels = {"delta_th": scn.system.i_th, "delta_lim": scn.system.i_max}
+    boundaries = {name: critical_angle(scn.system, level) for name, level in levels.items()}
+    payload = {"scenario": scenario_to_dict(scn), "boundaries": boundaries, **summary}
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"{label}: wrote {out / next(iter(files))}")
 
@@ -186,12 +187,16 @@ def _first_swing_period(record) -> float | None:
 
 
 def _parse_grid(text: str | None, flag: str) -> list[float] | None:
-    if not text:
+    """The numbers of a grid flag, ``None`` where it is not given; empty cells are skipped."""
+    if text is None:
         return None
     try:
-        return [_float(float(x), flag) for x in text.split(",") if x.strip()]
+        values = [_float(float(x), flag) for x in text.split(",") if x.strip()]
     except ValueError:  # text that is not a float
-        raise ValidationError(f"{flag}: expected comma-separated numbers, got {_shown(text)}") from None
+        values = []
+    if not values:
+        raise ValidationError(f"{flag}: expected comma-separated numbers, got {_shown(text)}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

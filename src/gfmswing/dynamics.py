@@ -354,7 +354,8 @@ def run_scenario(scenario) -> SimulationRecord:
 
 
 def _observe(zapp, t, dt: float, settings: RelaySettings) -> tuple[np.ndarray, np.ndarray, list]:
-    """PSB and OST flags per sample and the event log of a relay watching the stream.
+    """PSB and OST flags per sample and the event log of a relay watching the stream,
+    each entry stamped with its sample's time in ``t``.
 
     Between two ``crossings`` the relay's state changes only by a zone trip,
     on the sample ``relay_step`` fixed as the zone's ``zone_due`` when it
@@ -366,11 +367,10 @@ def _observe(zapp, t, dt: float, settings: RelaySettings) -> tuple[np.ndarray, n
     todo = crossings(zapp, settings).tolist() + [n]  # ascending from sample 0
     state, i, k = RelayState(), 0, 0
     while k < n:
-        state.samples = k
-        relay_step(state, zapp[k].item(), float(t[k]), dt, settings)
+        relay_step(state, zapp[k].item(), k, dt, settings)
         i += todo[i] == k
         # the walk ends: todo[i] > k now and every due taken is > k, so each pass moves k on
         step = min([todo[i], *(due for due in state.zone_due if due is not None and due > k)])
         psb[k:step], ost[k:step] = state.psb_asserted, state.ost_tripped
         k = step
-    return psb, ost, state.event_log
+    return psb, ost, [(float(t[k]), event, element) for k, event, element in state.event_log]

@@ -141,11 +141,13 @@ def solve_network(delta: float, z_vi: complex, params: SystemParams) -> NetworkS
     when the total loop impedance vanishes.
     """
     v_far = params.v_g_mag * cmath.exp(-1j * delta)
-    return NetworkSolution(*_series_loop(v_far, z_vi, params.e_ref, params.z_sigma, params.z_relay_to_grid))
+    return _series_loop(v_far, z_vi, params.e_ref, params.z_sigma, params.z_relay_to_grid)
 
 
-def _series_loop(v_far: complex, z_vi: complex, e_ref: complex, z_loop: complex, z_relay: complex) -> tuple:
-    """``NetworkSolution`` fields of a series loop from ``e_ref`` through ``z_vi`` and
+def _series_loop(
+    v_far: complex, z_vi: complex, e_ref: complex, z_loop: complex, z_relay: complex
+) -> NetworkSolution:
+    """The solution of a series loop from ``e_ref`` through ``z_vi`` and
     ``z_loop`` to a far source at ``v_far``, the relay bus sitting ``z_relay`` short
     of the far source. ``dynamics.run_scenario`` evaluates the same loop in real
     arithmetic and is tested against it sample by sample."""
@@ -154,7 +156,7 @@ def _series_loop(v_far: complex, z_vi: complex, e_ref: complex, z_loop: complex,
         raise DegenerateCircuit(f"series loop impedance {abs(z_total):.3e} with the far source at {v_far!r}")
     current = (e_ref - v_far) / z_total
     z_apparent = complex(math.nan, math.nan) if abs(current) < ZERO_CURRENT_TOL else z_relay + v_far / current
-    return current, v_far + z_loop * current, z_apparent
+    return NetworkSolution(current, v_far + z_loop * current, z_apparent)
 
 
 def relay_impedance(v_far: np.ndarray, current: np.ndarray, z_relay: complex) -> np.ndarray:
@@ -177,7 +179,7 @@ def solve_faulted(z_vi: complex, params: SystemParams, fraction: float) -> Netwo
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fault fraction must be in [0, 1], got {fraction!r}")
     z_relay = fraction * params.z_l
-    return NetworkSolution(*_series_loop(0j, z_vi, params.e_ref, params.z_tr + z_relay, z_relay))
+    return _series_loop(0j, z_vi, params.e_ref, params.z_tr + z_relay, z_relay)
 
 
 def active_power(v_pcc, current):

@@ -126,19 +126,17 @@ class RelaySettings:
 class RelayState:
     """Occupancy, entry and trip samples and latched decisions of one relay instance.
 
-    ``relay_step`` advances it in place by one sample: ``samples`` is the
-    sample the next call takes, and each call advances it by one. A walk that
-    skips samples sets it before each call; ``dynamics.run_scenario`` calls
-    only at ``crossings`` and at zone trips due, between which a per-sample
-    walk changes nothing. ``outer_entry`` is the sample that entered the outer
-    blinder and ``zone_due[k]`` the sample on which zone k + 1 trips, fixed at
-    its entry (``math.inf`` for a delay no sample count reaches), each ``None``
-    while outside. ``zone_due`` starts empty and takes one entry per zone of
-    the settings at the first ``relay_step``; ``event_log`` holds one
-    ``(t, event, element)`` tuple per event.
+    ``relay_step`` advances it in place, one sample at a time. A walk may skip
+    samples; ``dynamics.run_scenario`` steps only at ``crossings`` and at zone
+    trips due, between which a per-sample walk changes nothing. ``outer_entry``
+    is the sample that entered the outer blinder and ``zone_due[k]`` the sample
+    on which zone k + 1 trips, fixed at its entry (``math.inf`` for a delay no
+    sample count reaches), each ``None`` while outside. ``zone_due`` starts
+    empty and takes one entry per zone of the settings at the first
+    ``relay_step``; ``event_log`` holds one ``(n, event, element)`` tuple per
+    event, ``n`` the sample.
     """
 
-    in_outer: bool = False
     in_middle: bool = False
     in_inner: bool = False
     zone_due: list[int | float | None] = field(default_factory=list)
@@ -146,18 +144,11 @@ class RelayState:
     psb_asserted: bool = False
     ost_tripped: bool = False
     ost_this_episode: bool = False
-    samples: int = 0
-    event_log: list[tuple[float, str, str]] = field(default_factory=list)
+    event_log: list[tuple[int, str, str]] = field(default_factory=list)
 
 
-def relay_step(
-    state: RelayState,
-    z: complex,
-    t: float,
-    dt: float,
-    settings: RelaySettings,
-) -> RelayState:
-    """Advance ``state`` in place by one sample of measured apparent impedance; returns it.
+def relay_step(state: RelayState, z: complex, n: int, dt: float, settings: RelaySettings) -> None:
+    """Advance ``state`` in place by sample ``n`` of measured apparent impedance.
 
     A NaN ``z`` is an undefined impedance, which lies outside every characteristic.
 
@@ -165,35 +156,32 @@ def relay_step(
     step that ``dynamics.event_step`` gives: PSB asserts at middle entry when
     the transit since outer entry exceeds ``delta_t_psb/dt + 1e-6`` samples,
     and a zone entered on sample n trips on sample ``n + max(0, ceil(time_delay/dt - 1e-6))``
-    if it is still inside, so a zero delay trips on the entry sample. ``t`` only
-    stamps the log.
+    if it is still inside, so a zero delay trips on the entry sample.
     """
-    n = state.samples
-    state.samples = n + 1
     in_outer = blinder_contains(z, settings.outer)
     in_middle = blinder_contains(z, settings.middle)
     in_inner = blinder_contains(z, settings.inner)
     log = state.event_log
 
-    if in_outer != state.in_outer:
-        log.append((t, "enter" if in_outer else "exit", "outer"))
+    if in_outer != (state.outer_entry is not None):
+        log.append((n, "enter" if in_outer else "exit", "outer"))
         state.outer_entry = n if in_outer else None
         if not in_outer and state.psb_asserted:
             state.psb_asserted = state.ost_this_episode = False
-            log.append((t, "psb_deassert", "outer"))
+            log.append((n, "psb_deassert", "outer"))
 
     if in_middle != state.in_middle:
-        log.append((t, "enter" if in_middle else "exit", "middle"))
+        log.append((n, "enter" if in_middle else "exit", "middle"))
         if in_middle and not state.psb_asserted:  # inside the outer blinder since sample outer_entry
             state.psb_asserted = n - state.outer_entry > settings.delta_t_psb / dt + 1e-6
-            log.append((t, "psb_assert" if state.psb_asserted else "fault_classified", "middle"))
+            log.append((n, "psb_assert" if state.psb_asserted else "fault_classified", "middle"))
 
     if in_inner != state.in_inner:
-        log.append((t, "enter" if in_inner else "exit", "inner"))
+        log.append((n, "enter" if in_inner else "exit", "inner"))
         if in_inner and state.psb_asserted and not state.ost_this_episode:
             state.ost_tripped = state.ost_this_episode = True
-            log.append((t, "ost_trip", "inner"))
-    state.in_outer, state.in_middle, state.in_inner = in_outer, in_middle, in_inner
+            log.append((n, "ost_trip", "inner"))
+    state.in_middle, state.in_inner = in_middle, in_inner
 
     if not state.zone_due:
         state.zone_due = [None] * len(settings.zones)
@@ -201,12 +189,11 @@ def relay_step(
     for k, zone in enumerate(settings.zones):
         inside = not state.psb_asserted and mho_contains(z, zone)
         if inside != (due[k] is not None):
-            log.append((t, "enter" if inside else "exit", f"zone{k + 1}"))
+            log.append((n, "enter" if inside else "exit", f"zone{k + 1}"))
             lag = zone.time_delay / dt - 1e-6  # samples from entry to trip, before rounding up
             due[k] = None if not inside else n + max(0, math.ceil(lag)) if lag < math.inf else math.inf
         if due[k] == n:
-            log.append((t, "trip", f"zone{k + 1}"))
-    return state
+            log.append((n, "trip", f"zone{k + 1}"))
 
 
 def crossings(zapp: np.ndarray, settings: RelaySettings) -> np.ndarray:

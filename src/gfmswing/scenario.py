@@ -42,7 +42,6 @@ class Scenario:
     horizon: float
     dt: float = 5e-4
     relay: RelaySettings | None = None
-    outputs: str | None = None
 
     def __post_init__(self):
         problems = []
@@ -90,12 +89,6 @@ def _float(value, field: str) -> float:
     return number
 
 
-def _object(value, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{field}: expected a JSON object, got {_shown(value)}")
-    return value
-
-
 def _phasor_from_value(value, field: str) -> Phasor:
     if isinstance(value, dict):
         if "re" in value and "im" in value:
@@ -140,7 +133,8 @@ def _from_json(tp, value, field: str):
     are ignored; a phasor takes any spelling ``_phasor_from_value`` reads.
     """
     if is_dataclass(tp):
-        value = _object(value, field)
+        if not isinstance(value, dict):
+            raise ValidationError(f"{field}: expected a JSON object, got {_shown(value)}")
         hints, kwargs = _type_hints(tp), {}
         for f in fields(tp):
             path = f"{field}.{f.name}" if field else f.name
@@ -174,8 +168,7 @@ def _from_json(tp, value, field: str):
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
-    """A scenario as the JSON data of a schema-v1 file; ``relay`` and
-    ``outputs`` are left out when unset."""
+    """A scenario as the JSON data of a schema-v1 file; ``relay`` is left out when unset."""
     d = {"schema_version": SCHEMA_VERSION, **_to_json(scn, Scenario)}
     return {key: value for key, value in d.items() if value is not None}
 

@@ -1,9 +1,11 @@
 """Shared fixtures. Simulation records used by several test modules are
 session-scoped because each run integrates tens of thousands of steps."""
 
+from dataclasses import replace
+
 import pytest
 
-from gfmswing import Strategy, SystemParams, run_scenario
+from gfmswing import LimiterConfig, Strategy, SystemParams, run_scenario
 from gfmswing.cases import build_case
 
 
@@ -14,7 +16,7 @@ def table1():
 
 @pytest.fixture(scope="session")
 def record_e1_variable():
-    return run_scenario(build_case("caseE1", strategy=Strategy.VARIABLE_VI))
+    return run_scenario(replace(build_case("caseE1"), limiter=LimiterConfig(strategy=Strategy.VARIABLE_VI)))
 
 
 @pytest.fixture(scope="session")

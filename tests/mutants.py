@@ -293,6 +293,44 @@ MUTANTS = (
         "rt, xt = r_sigma + r_vi, x_sigma * (1.0 + 1e-11) + alpha * r_vi",
         (f"{T_DYN}::test_kernel_samples_match_electrical_power[caseA1]",),
     ),
+    # one of each at the edges
+    Mutant(
+        "_load renames the run under its own strategy",
+        CLI,
+        "if args.strategy in (None, scn.limiter.strategy.value):",
+        "if args.strategy is None:",
+        (
+            f"{T_CLI}::test_case_strategy_override",
+            f"{T_CLI}::test_cli_scenario_file_strategy_names_the_run",
+        ),
+    ),
+    Mutant(
+        "_observe stamps each entry with the next sample's time",
+        DYN,
+        "[(float(t[k]), event, element) for k, event, element in state.event_log]",
+        "[(float(t[k + 1]), event, element) for k, event, element in state.event_log]",
+        (
+            f"{T_REL}::test_walk_at_crossings_matches_every_sample_on_random_walks[reference]",
+            f"{T_DYN}::test_relay_is_an_observer[caseB2]",
+        ),
+    ),
+    Mutant(
+        "the outer-blinder test reads the middle occupancy",
+        REL,
+        "if in_outer != (state.outer_entry is not None):",
+        "if in_outer != state.in_middle:",
+        (f"{T_REL}::test_relay_matches_reference_on_random_walks[reference]",),
+    ),
+    Mutant(
+        "_parse_grid takes a grid flag with no number as not given",
+        CLI,
+        "    if not values:\n        raise ValidationError",
+        "    if values is None:\n        raise ValidationError",
+        (
+            f"{T_CLI}::test_cli_bad_flag_values[separators-only-h-sweep]",
+            f"{T_CLI}::test_cli_bad_flag_values[empty-dp-sweep]",
+        ),
+    ),
     # the writer
     Mutant(
         "the CSV writer writes None as text",

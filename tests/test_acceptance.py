@@ -7,6 +7,7 @@ lines. Every tolerance is pinned here; nothing is deferred to calibration.
 import cmath
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -222,10 +223,8 @@ def test_criterion_07_relay_discrimination():
 
     def run(points):
         st = RelayState()
-        t = 0.0
-        for z in points:
-            st = relay_step(st, z, t, dt, settings)
-            t += dt
+        for n, z in enumerate(points):
+            relay_step(st, z, n, dt, settings)
         return st
 
     fault_point = 0.5 * complex(SystemParams().z_l)
@@ -287,8 +286,8 @@ def _slow_swing_events(samples, settings, period=1.0):
     rate = 2.0 * math.pi / period
     dt = (samples[1].delta - samples[0].delta) / rate
     st = RelayState()
-    for s in samples:
-        st = relay_step(st, complex(s.z_app), s.delta / rate, dt, settings)
+    for n, s in enumerate(samples):
+        relay_step(st, complex(s.z_app), n, dt, settings)
     return {e[1] for e in st.event_log}
 
 
@@ -358,7 +357,7 @@ def test_criterion_09_case_e_classification_matrix(record_e1_variable):
         if (case_id, strategy) == ("caseE1", Strategy.VARIABLE_VI):
             record = record_e1_variable
         else:
-            record = run_scenario(build_case(case_id, strategy=strategy))
+            record = run_scenario(replace(build_case(case_id), limiter=LimiterConfig(strategy=strategy)))
         got[(case_id, strategy)] = classify_stability(record).classification
     mismatches = {
         key: (expected[key].value, got[key].value) for key in expected if got[key] != expected[key]

@@ -470,11 +470,10 @@ def reference_run(scenario) -> SimulationRecord:
     if scenario.relay is not None:
         relay = RelayState()
         for k in range(n):
-            z = complex(zre_arr[k], zim_arr[k])
-            relay = relay_step(relay, z, float(t_arr[k]), dt, scenario.relay)
+            relay_step(relay, complex(zre_arr[k], zim_arr[k]), k, dt, scenario.relay)
             psb_arr[k] = relay.psb_asserted
             ost_arr[k] = relay.ost_tripped
-        relay_events = relay.event_log
+        relay_events = [(float(t_arr[k]), event, element) for k, event, element in relay.event_log]
 
     return SimulationRecord(
         t=t_arr,
@@ -548,6 +547,19 @@ OBSERVED = {
 }
 
 
+def assert_relay_walk_matches_every_sample(rec: SimulationRecord, settings: RelaySettings) -> None:
+    """``relay_step`` on every sample of the record's impedance, by sample index, gives
+    what the run's walk at the crossings and pending trips recorded: the PSB and OST
+    flags and, each sample stamped by ``rec.t``, the relay log."""
+    relay, psb, ost = RelayState(), [], []
+    for k, (z_re, z_im) in enumerate(zip(rec.zapp_re.tolist(), rec.zapp_im.tolist())):
+        relay_step(relay, complex(z_re, z_im), k, rec.dt, settings)
+        psb.append(relay.psb_asserted)
+        ost.append(relay.ost_tripped)
+    assert np.array_equal(rec.psb, psb) and np.array_equal(rec.ost, ost)
+    assert rec.relay_events == [(rec.t[k].item(), event, element) for k, event, element in relay.event_log]
+
+
 @pytest.mark.parametrize("name", OBSERVED)
 def test_relay_is_an_observer(name):
     # the relay reads the impedance stream and never acts back on the swing
@@ -557,16 +569,7 @@ def test_relay_is_an_observer(name):
     for channel in ("t", "delta", "omega_dev", "i_mag", "zapp_re", "zapp_im", "p_e", "vi_r", "vi_x"):
         assert np.array_equal(getattr(watched, channel), getattr(blind, channel), equal_nan=True)
     assert not blind.psb.any() and not blind.ost.any() and not blind.relay_events
-    # relay_step on every sample of the relay-less record gives what the run's walk at
-    # the crossings and pending trips gave
-    relay = RelayState()
-    psb, ost = [], []
-    for t, z_re, z_im in zip(blind.t, blind.zapp_re, blind.zapp_im):
-        relay = relay_step(relay, complex(z_re, z_im), float(t), scn.dt, scn.relay)
-        psb.append(relay.psb_asserted)
-        ost.append(relay.ost_tripped)
-    assert np.array_equal(watched.psb, psb) and np.array_equal(watched.ost, ost)
-    assert watched.relay_events == relay.event_log
+    assert_relay_walk_matches_every_sample(watched, scn.relay)
     if name == "caseB2":
         assert {"psb_assert", "ost_trip", "trip"} <= {kind for _, kind, _ in watched.relay_events}
     if name == "caseB2-no-zones":
@@ -616,14 +619,11 @@ def fault_spans(scn: Scenario, n: int) -> np.ndarray:
     return frac
 
 
-@pytest.mark.parametrize("name", KERNEL_SCENARIOS)
-def test_kernel_samples_match_electrical_power(name):
-    # each recorded sample against the object path at the recorded angle and gain: a
-    # bound on the kernel's loop algebra alone, which does not grow with the drift of
-    # the trajectory; the adaptive gain is replayed from the recorded currents
-    scn = replace(KERNEL_SCENARIOS[name], dt=2e-3)
+def assert_samples_match_electrical_power(scn: Scenario, rec: SimulationRecord) -> None:
+    """Each recorded sample against the object path at the recorded angle and gain: a
+    bound on the kernel's loop algebra alone, which does not grow with the drift of the
+    trajectory. The adaptive gain is replayed from the recorded currents."""
     system, cfg = scn.system, scn.limiter
-    rec = run_scenario(scn)
     frac = fault_spans(scn, len(rec))
     integrator = drop = 0.0
     for k, d in enumerate(rec.delta.tolist()):
@@ -639,6 +639,12 @@ def test_kernel_samples_match_electrical_power(name):
                 assert abs(a - b) <= SAMPLE_TOL * max(1.0, abs(b)), (field, k, a, b)
         if k and cfg.strategy is Strategy.ADAPTIVE_VI:
             integrator, drop = adaptive_vi_step(integrator, got[1], scn.dt, cfg, system.i_max)
+
+
+@pytest.mark.parametrize("name", KERNEL_SCENARIOS)
+def test_kernel_samples_match_electrical_power(name):
+    scn = replace(KERNEL_SCENARIOS[name], dt=2e-3)
+    assert_samples_match_electrical_power(scn, run_scenario(scn))
 
 
 QUOTIENT_TOL = 1e-15  # relative to max(1, |z|): numpy's two complex quotients against CPython's (6.2e-16 seen)

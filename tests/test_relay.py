@@ -25,12 +25,11 @@ from test_dynamics import CRITERION_11, MIXED
 DT = 5e-4
 
 
-def run_stream(points, settings, dt=DT, state=None, t0=0.0):
+def run_stream(points, settings, dt=DT, state=None, n0=0):
+    """Step the relay on every point, numbering the samples from ``n0``; returns its state."""
     state = state or RelayState()
-    t = t0
-    for z in points:
-        state = relay_step(state, z, t, dt, settings)
-        t += dt
+    for n, z in enumerate(points, n0):
+        relay_step(state, z, n, dt, settings)
     return state
 
 
@@ -133,7 +132,7 @@ def test_zone2_timer_and_reset():
     state = run_stream([complex(2.0, 0.3)] * 10 + [z2_point] * 900, settings)
     assert not events_named(state, "trip", "zone2")
     # leaving and re-entering resets the timer
-    state = run_stream([complex(2.0, 0.3)] * 10 + [z2_point] * 900, settings, state=state, t0=910 * DT)
+    state = run_stream([complex(2.0, 0.3)] * 10 + [z2_point] * 900, settings, state=state, n0=910)
     assert not events_named(state, "trip", "zone2")
     # a full dwell trips
     state2 = run_stream([complex(2.0, 0.3)] * 10 + [z2_point] * 1100, settings)
@@ -146,18 +145,18 @@ LOAD = complex(2.0, 0.3)
 def observe_both_ways(points, settings, dt=DT, t=None):
     """Walk ``points`` with ``relay_step`` on every sample and with the run's walk at
     the crossings and pending trips (``dynamics._observe``); the PSB and OST flags
-    and the event log must agree. ``t`` stamps the samples (default: their index).
-    Returns the log."""
+    and the event log, its samples stamped by ``t`` (default: their index), must
+    agree. Returns the log."""
     z = np.array(points, dtype=complex)
     t = np.arange(len(points), dtype=float) if t is None else t
     state, psb, ost = RelayState(), [], []
     for k in range(len(points)):
-        relay_step(state, z[k].item(), float(t[k]), dt, settings)
+        relay_step(state, z[k].item(), k, dt, settings)
         psb.append(state.psb_asserted)
         ost.append(state.ost_tripped)
     got_psb, got_ost, log = _observe(z, t, dt, settings)
     assert np.array_equal(got_psb, psb) and np.array_equal(got_ost, ost)
-    assert typed(log) == typed(state.event_log)
+    assert typed(log) == typed((float(t[k]), event, element) for k, event, element in state.event_log)
     return log
 
 
@@ -257,7 +256,7 @@ def test_psb_deasserts_on_outer_exit():
     slow = make_ramp(settings, transit_outer_to_middle=0.100)
     state = run_stream(slow, settings)
     assert state.psb_asserted
-    state = run_stream([complex(3.0, 0.3)] * 5, settings, state=state, t0=len(slow) * DT)
+    state = run_stream([complex(3.0, 0.3)] * 5, settings, state=state, n0=len(slow))
     assert not state.psb_asserted
     assert events_named(state, "psb_deassert")
 
@@ -265,9 +264,9 @@ def test_psb_deasserts_on_outer_exit():
 def test_nan_is_outside_everything():
     settings = RelaySettings.table1()
     state = run_stream([complex(0.1, 0.2)] * 10, settings)
-    assert state.in_outer
-    state = relay_step(state, complex(math.nan, math.nan), 10 * DT, DT, settings)
-    assert not state.in_outer and not state.in_middle and not state.in_inner
+    assert state.outer_entry == 0 and state.in_middle and state.in_inner
+    relay_step(state, complex(math.nan, math.nan), 10, DT, settings)
+    assert state.outer_entry is None and not state.in_middle and not state.in_inner
 
 
 def test_determinism():
@@ -429,20 +428,23 @@ def typed(log):
     return [tuple((type(x), x) for x in entry) for entry in log]
 
 
-SHARED_FIELDS = ("in_outer", "in_middle", "in_inner", "psb_asserted", "ost_tripped", "ost_this_episode")
+SHARED_FIELDS = ("in_middle", "in_inner", "psb_asserted", "ost_tripped", "ost_this_episode")
 
 
 def walk_both(samples, dt, settings):
-    """Walk both relays over ``(t, z)`` samples: per sample, the blinder occupancy,
-    the decisions and the zone occupancy must agree. Returns both event logs."""
-    ref, state = ReferenceRelayState(), RelayState()
+    """Walk both relays over ``(t, z)`` samples, the reference by ``t`` and the relay by
+    sample index: per sample, the blinder occupancy, the decisions and the zone
+    occupancy must agree. Returns both event logs, the relay's stamped by ``t``."""
+    ref, state, times = ReferenceRelayState(), RelayState(), []
     for k, (t, z) in enumerate(samples):
         ref = reference_relay_step(ref, z, t, dt, settings)
-        assert relay_step(state, z, t, dt, settings) is state
+        relay_step(state, z, k, dt, settings)
+        times.append(t)
+        assert (state.outer_entry is not None) == ref.in_outer, (k, "in_outer")
         for name in SHARED_FIELDS:
             assert getattr(state, name) == getattr(ref, name), (k, name)
         assert tuple(due is not None for due in state.zone_due) == ref.in_zone, k
-    return state.event_log, list(ref.event_log)
+    return [(times[n], event, element) for n, event, element in state.event_log], list(ref.event_log)
 
 
 def assert_relays_agree(samples, dt, settings) -> int:

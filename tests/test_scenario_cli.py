@@ -36,7 +36,7 @@ from gfmswing import (
 )
 from gfmswing import dynamics, relay
 from gfmswing.cases import CASE_IDS, build_case, case_d_system
-from gfmswing.cli import CSV_CHUNK_ROWS, _first_swing_period, _write_csv, main
+from gfmswing.cli import CSV_CHUNK_ROWS, _first_swing_period, _load, _write_csv, main
 from gfmswing.dynamics import SimulationRecord, event_step
 from gfmswing.scenario import (
     MAX_STEPS,
@@ -82,16 +82,39 @@ def test_case_d_contents():
 
 
 def test_case_strategy_override():
-    scn = build_case("caseE1", strategy=Strategy.VARIABLE_VI)
+    # --strategy other than the case's own replaces it and renames the run; its own changes nothing
+    scn = _load(SimpleNamespace(scenario=None, case="caseE1", strategy="variable"))
     assert scn.limiter.strategy is Strategy.VARIABLE_VI
+    assert scn == replace(build_case("caseE1"), name="caseE1-variable", limiter=scn.limiter)
+    for strategy in (None, "none"):
+        assert _load(SimpleNamespace(scenario=None, case="caseE1", strategy=strategy)) == build_case("caseE1")
     with pytest.raises(KeyError):
         build_case("caseZZ")
 
 
+def test_cli_scenario_file_strategy_names_the_run(tmp_path, monkeypatch):
+    # a file run under another strategy writes out/<name>-<strategy> and leaves out/<name> alone;
+    # a file's "outputs" key, no longer read, places nothing
+    monkeypatch.chdir(tmp_path)  # "out/<name>" lands here
+    path = _write_fast_scenario(tmp_path)
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps({**raw, "outputs": "elsewhere"}))
+    argv = ["trajectory", "--scenario", str(path), "--samples", "99"]
+    assert main(argv) == 0
+    own = (tmp_path / "out" / "fast" / "trajectory.csv").read_bytes()
+    assert main([*argv, "--strategy", "none"]) == main([*argv, "--strategy", "adaptive"]) == 0
+    assert (tmp_path / "out" / "fast" / "trajectory.csv").read_bytes() == own
+    summary = json.loads((tmp_path / "out" / "fast-adaptive" / "summary.json").read_text())
+    assert summary["scenario"]["name"] == "fast-adaptive"
+    assert summary["scenario"]["limiter"]["strategy"] == "adaptive"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.json", "out"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fast", "fast-adaptive"]
+
+
 def test_round_trip_identity(tmp_path):
-    for case_id, strategy in itertools.product(CASE_IDS, (None, *Strategy)):
-        scn = build_case(case_id, strategy)
-        path = tmp_path / f"{scn.name}.json"
+    for case_id, strategy in itertools.product(CASE_IDS, Strategy):
+        scn = replace(build_case(case_id), limiter=LimiterConfig(strategy=strategy))
+        path = tmp_path / f"{case_id}-{strategy.value}.json"
         save_scenario(scn, path)
         again = load_scenario(path)
         assert again == scn
@@ -402,7 +425,6 @@ BAD_SCENARIOS = {
     "event-not-object": '{"horizon": 1.0, "events": [5]}',
     "nan-apcl-h": '{"horizon": 1.0, "apcl": {"h": NaN}}',
     "numeric-limiter-alpha_vi": '{"horizon": 1.0, "limiter": {"alpha_vi": 10.0}}',
-    "numeric-outputs": '{"horizon": 1.0, "outputs": 5}',
     "boolean-schema_version": '{"schema_version": true, "horizon": 1.0}',
     "float-schema_version": '{"schema_version": 1.0, "horizon": 1.0}',
     "numeric-name": '{"horizon": 1.0, "name": 5}',
@@ -511,6 +533,8 @@ BAD_FLAGS = {
     "stiff-dp-sweep": ["sweep", "--case", "caseC1", "--dp", "0.05,1e-5"],
     "no-scenario-or-case": ["simulate"],
     "zero-h-sweep": ["sweep", "--case", "caseC1", "--h", "0"],
+    "separators-only-h-sweep": ["sweep", "--case", "caseC1", "--h", ",", "--dp", " , "],
+    "empty-dp-sweep": ["sweep", "--case", "caseC1", "--dp", ""],
 }
 
 
@@ -527,9 +551,9 @@ def test_cli_unusable_output_directory(tmp_path, capsys):
     blocker.write_text("")
     assert main(["simulate", "--case", "caseA1", "--out", str(blocker)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    path = _write_fast_scenario(tmp_path, outputs="a\0b")
+    path = _write_fast_scenario(tmp_path)
     for command in ("simulate", "trajectory", "pdelta", "sweep"):
-        assert main([command, "--scenario", str(path)]) == 1, command
+        assert main([command, "--scenario", str(path), "--out", "a\0b"]) == 1, command
         assert capsys.readouterr().err.startswith("error: "), command
 
 
@@ -537,7 +561,7 @@ LONG = "x" * 300_000
 ECHOED_INPUTS = {
     "200k-entry-system": {"horizon": 1.0, "system": [0] * 200_000},
     "300k-char-name": {"horizon": 1.0, "name": LONG},
-    "300k-char-outputs": {"horizon": 1.0, "outputs": LONG},
+    "300k-char-outputs": ["simulate", "--case", "caseA1", "--out", LONG],
     "300k-char-schema_version": {"schema_version": LONG, "horizon": 1.0},
     "300k-char-event-kind": {"horizon": 1.0, "events": [{"time": 0.5, "kind": LONG}]},
     "300k-char-h": {"horizon": 1.0, "apcl": {"h": LONG}},
@@ -677,7 +701,7 @@ def test_cli_simulate_four_zone_relay(tmp_path):
 
 def test_cli_case_and_strategy_flags(tmp_path):
     scn_path = tmp_path / "e1.json"
-    scn = replace(build_case("caseE1", strategy=Strategy.VARIABLE_VI), horizon=28.5)
+    scn = replace(build_case("caseE1"), limiter=LimiterConfig(strategy=Strategy.VARIABLE_VI), horizon=28.5)
     save_scenario(scn, scn_path)
     assert load_scenario(scn_path).limiter.strategy is Strategy.VARIABLE_VI
 
