@@ -28,8 +28,10 @@ CSV_CHUNK_ROWS = 4096  # rows converted to Python values at a time; whole column
 
 
 def _load(args) -> Scenario:
-    """The scenario of ``--scenario`` or ``--case``; a ``--strategy`` other than its own
+    """The scenario of ``--scenario`` or ``--case``, never both; a ``--strategy`` other than its own
     replaces its strategy and renames the run ``<name>-<strategy>``."""
+    if args.scenario is not None and args.case is not None:
+        raise GfmSwingError("--scenario and --case name two runs; give one of them")
     if args.scenario is not None:
         scn = load_scenario(args.scenario)
     elif args.case is not None:

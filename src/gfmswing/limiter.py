@@ -53,7 +53,7 @@ class LimiterConfig:
             raise ValueError("delta_v_max must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ViValue:
     """Series virtual impedance split into resistance and reactance."""
 
@@ -117,16 +117,18 @@ def solve_limited_current(
 def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: float, i_th: float) -> float:
     """Root of the limited loop for a drive of magnitude ``e_mag``.
 
-    The virtual impedance grows linearly with the overshoot past ``i_th``
-    along a fixed direction, so with a passive ``z_ext`` the residual
-    ``m * |z_ext + gain*(m - i_th)*(1 + j*alpha)| - e_mag`` is monotone in
-    ``m`` and the limited root is unique. A safeguarded Newton iteration
-    (rtsafe, Numerical Recipes 9.4) starts at the right end of the bracket,
-    where the convex residual makes it descend monotonically, and falls back
-    to bisection whenever a step would leave the bracket. Without ``z_ext``
-    the loop is the VI alone, whose root is a quadratic's. ``run_scenario``
-    takes it for the faulted loop and for an explicit ``alpha_vi``. No drive gives no
-    current, and the NaN drive of a diverging swing a NaN one.
+    The virtual impedance grows linearly with the overshoot past ``i_th`` along a fixed direction,
+    so with a passive ``z_ext`` the residual ``m * |z_ext + gain*(m - i_th)*(1 + j*alpha)| - e_mag``
+    is convex and increasing in ``m``, and the limited root is unique. A safeguarded Newton
+    iteration (rtsafe, Numerical Recipes 9.4) starts at the aligned root, the root the loop would
+    have with the VI along ``z_ext``. As |z_ext + v*(1 + j*alpha)| <= |z_ext| + v*hypot(1, alpha),
+    the residual there is at most zero: the start is a lower bound, and the root itself when
+    ``z_ext`` lies along 1 + j*alpha, which one Newton check then settles. From the left, Newton
+    on the convex residual lands at or right of the root, then descends monotonically; it
+    bisects whenever a step would leave the bracket [i_th, e_mag/|z_ext|].
+    Without ``z_ext`` the loop is the VI alone, whose root is a quadratic's. ``run_scenario``
+    takes it for the faulted loop and for an explicit ``alpha_vi``. No drive gives no current,
+    and the NaN drive of a diverging swing a NaN one.
     """
     if not e_mag > 0.0:
         return e_mag
@@ -142,7 +144,7 @@ def _limited_magnitude(e_mag: float, z_ext: complex, gain: float, alpha_vi: floa
 
     r_ext, x_ext = z_ext.real, z_ext.imag
     lo, hi = i_th, e_mag / z_ext_mag
-    m = hi
+    m = _loop_magnitude(e_mag, z_ext_mag, gain * math.hypot(1.0, alpha_vi), i_th)
     for _ in range(MAX_SOLVE_ITER):
         dv = gain * (m - i_th)
         zr, zx = r_ext + dv, x_ext + alpha_vi * dv

@@ -120,7 +120,7 @@ class SystemParams:
         return math.tan(self.z_sigma.ang)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NetworkSolution:
     """Complex solution of one series-loop solve.
 

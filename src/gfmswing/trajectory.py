@@ -28,7 +28,7 @@ class Segment(Enum):
     ACTIVE_ADAPTIVE = "active_adaptive"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrajectorySample:
     delta: float
     z_app: complex
@@ -128,8 +128,7 @@ def cycle_currents(
     if strategy is Strategy.VARIABLE_VI:
         if gain is None:
             gain = variable_vi_gain(params)
-        for k in np.flatnonzero(active):
-            current[k] = solve_variable_vi_current(float(delta[k]), params, gain)[2].current
+        current[active] = [solve_variable_vi_current(d, params, gain)[2].current for d in delta[active].tolist()]
     else:
         # |z_sigma + r*(1 + j*alpha)| = |drive| / i_max, a quadratic a*r^2 + b*r + c = 0
         alpha = params.vi_ratio

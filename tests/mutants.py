@@ -331,6 +331,35 @@ MUTANTS = (
             f"{T_CLI}::test_cli_bad_flag_values[empty-dp-sweep]",
         ),
     ),
+    # loci at about half the cost
+    Mutant(
+        "rtsafe starts at the right end of the bracket, not at the aligned root",
+        LIM,
+        "    m = _loop_magnitude(e_mag, z_ext_mag, gain * math.hypot(1.0, alpha_vi), i_th)\n",
+        "    m = hi\n",
+        (f"{T_LIM}::test_aligned_loop_is_settled_by_one_newton_check",),
+    ),
+    Mutant(
+        "the aligned root leaves out the VI direction's hypot(1, alpha)",
+        LIM,
+        "_loop_magnitude(e_mag, z_ext_mag, gain * math.hypot(1.0, alpha_vi), i_th)",
+        "_loop_magnitude(e_mag, z_ext_mag, gain, i_th)",
+        (f"{T_LIM}::test_aligned_loop_is_settled_by_one_newton_check",),
+    ),
+    Mutant(
+        "the variable branch solves every angle of the grid, not the active ones",
+        TRJ,
+        "for d in delta[active].tolist()]",
+        "for d in delta.tolist()]",
+        (f"{T_LIM}::test_activation_sets", f"{T_TRJ}::test_full_cycle_segment_boundaries"),
+    ),
+    Mutant(
+        "_load takes --scenario and drops --case when both are given",
+        CLI,
+        "    if args.scenario is not None and args.case is not None:\n        raise GfmSwingError",
+        "    if False:\n        raise GfmSwingError",
+        (f"{T_CLI}::test_cli_scenario_and_case_together_exit_1",),
+    ),
     # the writer
     Mutant(
         "the CSV writer writes None as text",

@@ -135,12 +135,34 @@ def test_solve_zero_drive():
 
 
 def test_stalled_solve_reports_its_residual(monkeypatch):
-    # one Newton step from the right end of the bracket cannot meet the tolerance
+    # the faulted loop is not along the VI, so one Newton step from the aligned root cannot
+    # meet the tolerance
     monkeypatch.setattr(limiter, "MAX_SOLVE_ITER", 1)
     params = SystemParams()
     gain = variable_vi_gain(params)
+    z_ext = complex(params.z_tr) + 0.5 * complex(params.z_l)
     with pytest.raises(NoConvergence, match=r"stalled at m=\S+ \(residual -?\d\S*\)$"):
-        solve_limited_current(2.0 + 0j, params.z_sigma, gain, params.vi_ratio, params.i_th)
+        solve_limited_current(params.e_ref, z_ext, gain, params.vi_ratio, params.i_th)
+
+
+ACTIVE_RANGE = np.linspace(1.2, 2 * math.pi - 1.2, 25).tolist()
+
+
+def active_range_gains(params):
+    """The designed variable gain plus adaptive gains for small and large drops."""
+    return variable_vi_gain(params), vi_gain_from_drop(0.3, params), vi_gain_from_drop(2.0, params)
+
+
+def test_aligned_loop_is_settled_by_one_newton_check(monkeypatch):
+    # with the default ratio the healthy-loop VI lies along z_sigma, so rtsafe starts at the root
+    monkeypatch.setattr(limiter, "MAX_SOLVE_ITER", 1)
+    params = SystemParams()
+    z_sigma, alpha, i_th = complex(params.z_sigma), params.vi_ratio, params.i_th
+    for gain in active_range_gains(params):
+        for delta in ACTIVE_RANGE:
+            mag, _, _ = solve_variable_vi_current(delta, params, gain)
+            drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * delta)
+            assert abs(mag - collinear_root(drive, z_sigma, gain, alpha, i_th)) <= 1e-12
 
 
 def test_solve_at_pi_matches_bisection_oracle():
@@ -157,13 +179,8 @@ def test_solve_at_pi_matches_bisection_oracle():
 def test_solve_consistent_over_active_range():
     params = SystemParams()
     alpha = params.vi_ratio  # the default ratio makes the healthy-loop VI collinear with z_sigma
-    # the designed variable gain plus adaptive gains for small and large drops
-    for gain in (
-        variable_vi_gain(params),
-        vi_gain_from_drop(0.3, params),
-        vi_gain_from_drop(2.0, params),
-    ):
-        for delta in np.linspace(1.2, 2 * math.pi - 1.2, 25):
+    for gain in active_range_gains(params):
+        for delta in ACTIVE_RANGE:
             mag, vi, sol = solve_variable_vi_current(float(delta), params, gain)
             assert mag == pytest.approx(bisect_current(float(delta), params, gain, alpha), abs=1e-8)
             drive = complex(params.e_ref) - params.v_g_mag * cmath.exp(-1j * float(delta))
@@ -184,6 +201,14 @@ def test_solve_consistent_over_active_range():
             alpha_f = z_ext.imag / z_ext.real
             mag_f, _ = solve_limited_current(drive, z_ext, gain, alpha_f, params.i_th)
             assert abs(mag_f - collinear_root(drive, z_ext, gain, alpha_f, params.i_th)) <= 1e-12
+    # healthy loops under an explicit ratio, where the VI is not along z_sigma
+    for alpha_vi in (0.0, 1.0, 30.0):
+        params = SystemParams(alpha_vi=alpha_vi)
+        for gain in active_range_gains(params):
+            for delta in ACTIVE_RANGE:
+                mag, vi, sol = solve_variable_vi_current(delta, params, gain)
+                assert mag == pytest.approx(bisect_current(delta, params, gain, alpha_vi), abs=1e-8)
+                assert abs(sol.current) == pytest.approx(mag, abs=1e-9)
 
 
 LOOP_SYSTEMS = {"reference": SystemParams(), "caseD": case_d_system()}

@@ -111,6 +111,15 @@ def test_cli_scenario_file_strategy_names_the_run(tmp_path, monkeypatch):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fast", "fast-adaptive"]
 
 
+def test_cli_scenario_and_case_together_exit_1(tmp_path, monkeypatch, capsys):
+    # two sources name two runs: neither is dropped in silence, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    path = _write_fast_scenario(tmp_path)
+    assert main(["trajectory", "--scenario", str(path), "--case", "caseB2", "--samples", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.json"]
+
+
 def test_round_trip_identity(tmp_path):
     for case_id, strategy in itertools.product(CASE_IDS, Strategy):
         scn = replace(build_case(case_id), limiter=LimiterConfig(strategy=strategy))
